@@ -51,81 +51,7 @@ from repro.errors import (
     TelemetryError,
     ServiceError,
 )
-from repro.graph import Dag, PathCountClosure, MaxPlusClosure
-from repro.model import (
-    Application,
-    GeneratorConfig,
-    Implementation,
-    SdfActor,
-    SdfChannel,
-    SdfGraph,
-    Task,
-    motion_detection_application,
-    random_application,
-    MOTION_TOTAL_SW_TIME_MS,
-)
-from repro.arch import (
-    Architecture,
-    Asic,
-    Bus,
-    Processor,
-    ReconfigurableCircuit,
-    epicure_architecture,
-)
-from repro.mapping import (
-    ENGINES,
-    ArrayEngine,
-    Evaluation,
-    EvaluationEngine,
-    Evaluator,
-    ExecutionSimulator,
-    FullRebuildEngine,
-    IncrementalEngine,
-    MakespanCost,
-    make_engine,
-    Schedule,
-    SimulationResult,
-    Solution,
-    SystemCost,
-    extract_schedule,
-    random_initial_solution,
-    render_gantt,
-    simulate,
-)
-from repro.sa import (
-    AnnealerConfig,
-    DesignSpaceExplorer,
-    ExplorationResult,
-    GeometricSchedule,
-    LamDelosmeSchedule,
-    ModifiedLamSchedule,
-    MoveGenerator,
-    SimulatedAnnealing,
-)
-from repro.search import (
-    InstanceSpec,
-    SearchBudget,
-    SearchJob,
-    SearchResult,
-    SearchStrategy,
-    StrategySpec,
-    derive_seeds,
-    run_portfolio,
-    run_search_jobs,
-)
-from repro.obs import Telemetry
-from repro.service import ExplorationService, ResultStore, run_workers
-from repro import api
-from repro.api import (
-    ApplicationSpec,
-    ArchitectureSpec,
-    BudgetSpec,
-    EngineSpec,
-    ExplorationRequest,
-    ExplorationResponse,
-    explore,
-    load_request,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.3.0"
 
@@ -171,3 +97,42 @@ __all__ = [
     "explore", "load_request",
     "__version__",
 ]
+
+# Everything but the errors resolves on first use, so ``import repro``
+# loads no layer (and no NumPy) until a name from it is touched.
+lazy_exports(globals(), {
+    "repro.graph": ("Dag", "PathCountClosure", "MaxPlusClosure"),
+    "repro.model": (
+        "Application", "GeneratorConfig", "Implementation", "SdfActor",
+        "SdfChannel", "SdfGraph", "Task", "motion_detection_application",
+        "random_application", "MOTION_TOTAL_SW_TIME_MS",
+    ),
+    "repro.arch": (
+        "Architecture", "Asic", "Bus", "Processor", "ReconfigurableCircuit",
+        "epicure_architecture",
+    ),
+    "repro.mapping": (
+        "ENGINES", "ArrayEngine", "Evaluation", "EvaluationEngine",
+        "Evaluator", "ExecutionSimulator", "FullRebuildEngine",
+        "IncrementalEngine", "MakespanCost", "make_engine", "Schedule",
+        "SimulationResult", "Solution", "SystemCost", "extract_schedule",
+        "random_initial_solution", "render_gantt", "simulate",
+    ),
+    "repro.sa": (
+        "AnnealerConfig", "DesignSpaceExplorer", "ExplorationResult",
+        "GeometricSchedule", "LamDelosmeSchedule", "ModifiedLamSchedule",
+        "MoveGenerator", "SimulatedAnnealing",
+    ),
+    "repro.search": (
+        "InstanceSpec", "SearchBudget", "SearchJob", "SearchResult",
+        "SearchStrategy", "StrategySpec", "derive_seeds", "run_portfolio",
+        "run_search_jobs",
+    ),
+    "repro.obs": ("Telemetry",),
+    "repro.service": ("ExplorationService", "ResultStore", "run_workers"),
+    "repro.api": (
+        "api", "ApplicationSpec", "ArchitectureSpec", "BudgetSpec",
+        "EngineSpec", "ExplorationRequest", "ExplorationResponse", "explore",
+        "load_request",
+    ),
+})

@@ -1,15 +1,6 @@
 """Analysis utilities: solution-space counting, sweeps, statistics."""
 
-from repro.analysis.combinatorics import (
-    count_linear_extensions,
-    chain_interleavings,
-    context_placements,
-    solution_space_report,
-    SolutionSpaceReport,
-)
-from repro.analysis.stats import mean, std, median, confidence_interval95, Summary, summarize
-from repro.analysis.sweep import DeviceSweepRow, run_device_sweep
-from repro.analysis.plot import ascii_plot, plot_sweep, plot_trace
+from repro._lazy import lazy_exports
 
 __all__ = [
     "count_linear_extensions",
@@ -29,3 +20,16 @@ __all__ = [
     "plot_sweep",
     "plot_trace",
 ]
+
+lazy_exports(globals(), {
+    "repro.analysis.combinatorics": (
+        "count_linear_extensions", "chain_interleavings", "context_placements",
+        "solution_space_report", "SolutionSpaceReport",
+    ),
+    "repro.analysis.stats": (
+        "mean", "std", "median", "confidence_interval95", "Summary",
+        "summarize",
+    ),
+    "repro.analysis.sweep": ("DeviceSweepRow", "run_device_sweep"),
+    "repro.analysis.plot": ("ascii_plot", "plot_sweep", "plot_trace"),
+})

@@ -21,36 +21,7 @@ Specs round-trip through JSON byte-stably, reject unknown keys, and are
 stamped with ``schema_version`` — see :mod:`repro.api.specs`.
 """
 
-from repro.api.specs import (
-    APPLICATION_KINDS,
-    ARCHITECTURE_KINDS,
-    REQUEST_KINDS,
-    SCHEMA_VERSION,
-    ApplicationSpec,
-    ArchitectureSpec,
-    BudgetSpec,
-    EngineSpec,
-    ExplorationRequest,
-    StrategySpec,
-    load_request,
-)
-from repro.api.resolve import (
-    BUILTIN_APPLICATIONS,
-    BUILTIN_ARCHITECTURES,
-    ResolvedProblem,
-    ResolvedRequest,
-    resolve_application,
-    resolve_architecture,
-    resolve_request,
-    resolve_strategy,
-)
-from repro.api.facade import (
-    ExplorationResponse,
-    environment_stamp,
-    evaluation_to_dict,
-    explore,
-    load_response,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -78,3 +49,20 @@ __all__ = [
     "explore",
     "load_response",
 ]
+
+lazy_exports(globals(), {
+    "repro.api.specs": (
+        "APPLICATION_KINDS", "ARCHITECTURE_KINDS", "REQUEST_KINDS",
+        "SCHEMA_VERSION", "ApplicationSpec", "ArchitectureSpec", "BudgetSpec",
+        "EngineSpec", "ExplorationRequest", "StrategySpec", "load_request",
+    ),
+    "repro.api.resolve": (
+        "BUILTIN_APPLICATIONS", "BUILTIN_ARCHITECTURES", "ResolvedProblem",
+        "ResolvedRequest", "resolve_application", "resolve_architecture",
+        "resolve_request", "resolve_strategy",
+    ),
+    "repro.api.facade": (
+        "ExplorationResponse", "environment_stamp", "evaluation_to_dict",
+        "explore", "load_response",
+    ),
+})

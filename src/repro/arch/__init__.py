@@ -15,12 +15,7 @@ graph through :meth:`Resource.sequentialization_edges` — the library's
 rendition of the paper's abstract ``PE.schedule(Vs, Vd)`` method.
 """
 
-from repro.arch.resource import Resource, OrderKind
-from repro.arch.processor import Processor
-from repro.arch.asic import Asic
-from repro.arch.reconfigurable import ReconfigurableCircuit
-from repro.arch.bus import Bus
-from repro.arch.architecture import Architecture, epicure_architecture
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Resource",
@@ -32,3 +27,12 @@ __all__ = [
     "Architecture",
     "epicure_architecture",
 ]
+
+lazy_exports(globals(), {
+    "repro.arch.resource": ("Resource", "OrderKind"),
+    "repro.arch.processor": ("Processor",),
+    "repro.arch.asic": ("Asic",),
+    "repro.arch.reconfigurable": ("ReconfigurableCircuit",),
+    "repro.arch.bus": ("Bus",),
+    "repro.arch.architecture": ("Architecture", "epicure_architecture"),
+})

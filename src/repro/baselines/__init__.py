@@ -10,12 +10,7 @@
   — sanity baselines for the ablation benches.
 """
 
-from repro.baselines.clustering import cluster_into_contexts
-from repro.baselines.list_scheduler import list_schedule_software, decode_partition
-from repro.baselines.ga import GeneticConfig, GeneticPartitioner, GeneticResult
-from repro.baselines.tabu import TabuConfig, TabuSearch, TabuResult
-from repro.baselines.hill_climber import HillClimber, HillClimbResult
-from repro.baselines.random_search import RandomSearch, RandomSearchResult
+from repro._lazy import lazy_exports
 
 __all__ = [
     "cluster_into_contexts",
@@ -32,3 +27,16 @@ __all__ = [
     "RandomSearch",
     "RandomSearchResult",
 ]
+
+lazy_exports(globals(), {
+    "repro.baselines.clustering": ("cluster_into_contexts",),
+    "repro.baselines.list_scheduler": (
+        "list_schedule_software", "decode_partition",
+    ),
+    "repro.baselines.ga": (
+        "GeneticConfig", "GeneticPartitioner", "GeneticResult",
+    ),
+    "repro.baselines.tabu": ("TabuConfig", "TabuSearch", "TabuResult"),
+    "repro.baselines.hill_climber": ("HillClimber", "HillClimbResult"),
+    "repro.baselines.random_search": ("RandomSearch", "RandomSearchResult"),
+})

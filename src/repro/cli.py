@@ -48,8 +48,6 @@ import json
 import sys
 from typing import Any, Dict, List, Optional
 
-from repro.analysis.combinatorics import solution_space_report
-from repro.analysis.plot import plot_sweep, plot_trace
 from repro.api.facade import ExplorationResponse, explore
 from repro.api.specs import (
     ApplicationSpec,
@@ -61,22 +59,13 @@ from repro.api.specs import (
     load_request,
 )
 from repro.errors import ReproError
-from repro.experiments.comparison import run_comparison
-from repro.obs.telemetry import (
-    Telemetry,
-    format_summary_table,
-    load_events,
-    summarize_events,
-    validate_events,
-)
-from repro.experiments.fig3 import format_fig3_table
-from repro.io import dump_solution
-from repro.mapping.evaluator import Evaluator
-from repro.mapping.schedule import extract_schedule
-from repro.mapping.gantt import render_gantt
-from repro.sa.trace import write_csv
-from repro.search.portfolio import format_portfolio_table
+from repro.obs.telemetry import Telemetry
 
+# Only what every exploration command needs is imported here.  Each
+# command imports the rest (plots, tables, schedules, the bench and
+# service layers) in its own body, so a process loads just the layers
+# its request executes.  ``explore`` stays a module-level name: tools
+# that wrap it patch ``repro.cli.explore``.
 
 # ----------------------------------------------------------------------
 # flag -> spec assembly
@@ -235,13 +224,19 @@ def _render_batch(response: ExplorationResponse) -> None:
 
 
 def _render_sweep(response: ExplorationResponse, plot: bool = False) -> None:
+    from repro.experiments.fig3 import format_fig3_table
+
     print(format_fig3_table(response.rows))
     if plot:
+        from repro.analysis.plot import plot_sweep
+
         print()
         print(plot_sweep(response.rows))
 
 
 def _render_portfolio(response: ExplorationResponse) -> None:
+    from repro.search.portfolio import format_portfolio_table
+
     deadline = response.summary.get("deadline_ms")
     print(format_portfolio_table(response.entries, deadline_ms=deadline))
 
@@ -280,21 +275,31 @@ def cmd_explore(args: argparse.Namespace) -> int:
         return 0
     result = response.best_result
     if args.trace_csv:
+        from repro.sa.trace import write_csv
+
         with open(args.trace_csv, "w") as handle:
             write_csv(result.trace, handle)
         if not args.json:
             print(f"trace saved to {args.trace_csv} "
                   f"({len(result.trace)} records)")
     if args.plot and result.trace and not args.json:
+        from repro.analysis.plot import plot_trace
+
         print()
         print(plot_trace(result.trace))
     if args.gantt and not args.json:
+        from repro.mapping.evaluator import Evaluator
+        from repro.mapping.gantt import render_gantt
+        from repro.mapping.schedule import extract_schedule
+
         solution = result.best_solution
         evaluator = Evaluator(solution.application, solution.architecture)
         schedule = extract_schedule(solution, evaluator.realize(solution))
         print()
         print(render_gantt(schedule))
     if args.save:
+        from repro.io import dump_solution
+
         with open(args.save, "w") as handle:
             handle.write(dump_solution(result.best_solution))
         if not args.json:
@@ -317,6 +322,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from repro.experiments.comparison import run_comparison
+
     result = run_comparison(
         n_clbs=args.clbs,
         sa_iterations=args.iterations,
@@ -448,6 +455,13 @@ def cmd_bench_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_telemetry_summarize(args: argparse.Namespace) -> int:
+    from repro.obs.telemetry import (
+        format_summary_table,
+        load_events,
+        summarize_events,
+        validate_events,
+    )
+
     events = load_events(args.path)
     validate_events(events)
     summary = summarize_events(events)
@@ -624,7 +638,8 @@ def cmd_serve_gc(args: argparse.Namespace) -> int:
         return 0
     print(f"removed: {removed['failed']} failed, {removed['done']} done, "
           f"{removed['orphan_tickets']} orphan ticket(s), "
-          f"{removed['orphan_results']} orphan result(s)")
+          f"{removed['orphan_results']} orphan result(s), "
+          f"{removed['orphan_temp']} orphan temp file(s)")
     return 0
 
 
@@ -658,6 +673,8 @@ def cmd_info(args: argparse.Namespace) -> int:
     print(f"  sources: {sources}")
     print(f"  sinks:   {sinks}")
     if len(application) <= 40:
+        from repro.analysis.combinatorics import solution_space_report
+
         report = solution_space_report(application)
         print()
         print(report.format_table())

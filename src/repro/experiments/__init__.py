@@ -5,25 +5,7 @@ Every table and figure of the paper's evaluation (section 5) has a
 EXPERIMENTS.md records paper-vs-measured values.
 """
 
-from repro.experiments.fig2 import Fig2Result, run_fig2
-from repro.experiments.fig3 import run_fig3, FIG3_SIZES
-from repro.experiments.comparison import ComparisonResult, run_comparison
-from repro.experiments.ablations import (
-    ScheduleAblationRow,
-    run_schedule_ablation,
-    run_impl_ablation,
-    run_bus_ablation,
-)
-from repro.experiments.pareto import (
-    ParetoPoint,
-    format_pareto_table,
-    run_pareto_front,
-)
-from repro.experiments.quality import (
-    QualityKnobRow,
-    format_quality_table,
-    run_quality_knob,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Fig2Result",
@@ -43,3 +25,19 @@ __all__ = [
     "format_quality_table",
     "run_quality_knob",
 ]
+
+lazy_exports(globals(), {
+    "repro.experiments.fig2": ("Fig2Result", "run_fig2"),
+    "repro.experiments.fig3": ("run_fig3", "FIG3_SIZES"),
+    "repro.experiments.comparison": ("ComparisonResult", "run_comparison"),
+    "repro.experiments.ablations": (
+        "ScheduleAblationRow", "run_schedule_ablation", "run_impl_ablation",
+        "run_bus_ablation",
+    ),
+    "repro.experiments.pareto": (
+        "ParetoPoint", "format_pareto_table", "run_pareto_front",
+    ),
+    "repro.experiments.quality": (
+        "QualityKnobRow", "format_quality_table", "run_quality_knob",
+    ),
+})

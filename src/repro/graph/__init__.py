@@ -18,18 +18,7 @@ architecture models) and provides:
   and benchmarks.
 """
 
-from repro.graph.dag import Dag, NodeInterner
-from repro.graph.closure import PathCountClosure
-from repro.graph.maxplus import MaxPlusClosure, NEG_INF
-from repro.graph.longest_path import (
-    topological_order,
-    longest_path_length,
-    earliest_start_times,
-    earliest_starts_indexed,
-    kahn_order_indices,
-    makespan_from_starts,
-    critical_path,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Dag",
@@ -45,3 +34,14 @@ __all__ = [
     "makespan_from_starts",
     "critical_path",
 ]
+
+lazy_exports(globals(), {
+    "repro.graph.dag": ("Dag", "NodeInterner"),
+    "repro.graph.closure": ("PathCountClosure",),
+    "repro.graph.maxplus": ("MaxPlusClosure", "NEG_INF"),
+    "repro.graph.longest_path": (
+        "topological_order", "longest_path_length", "earliest_start_times",
+        "earliest_starts_indexed", "kahn_order_indices",
+        "makespan_from_starts", "critical_path",
+    ),
+})

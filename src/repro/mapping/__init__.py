@@ -8,27 +8,7 @@ task graph plus sequentialization edges — whose longest path is the
 solution's execution time (section 4.4).
 """
 
-from repro.mapping.solution import Solution, random_initial_solution
-from repro.mapping.search_graph import SearchGraph, SearchGraphBuilder, COMM_NODE
-from repro.mapping.compiled import CompiledInstance, compile_instance
-from repro.mapping.engine import (
-    ENGINES,
-    ArrayEngine,
-    EvaluationEngine,
-    FullRebuildEngine,
-    IncrementalEngine,
-    make_engine,
-)
-from repro.mapping.evaluator import Evaluation, Evaluator
-from repro.mapping.schedule import Schedule, ScheduleEntry, extract_schedule
-from repro.mapping.gantt import render_gantt
-from repro.mapping.cost import CostFunction, MakespanCost, SystemCost
-from repro.mapping.simulator import (
-    ExecutionSimulator,
-    SimEvent,
-    SimulationResult,
-    simulate,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Solution",
@@ -58,3 +38,24 @@ __all__ = [
     "SimulationResult",
     "simulate",
 ]
+
+lazy_exports(globals(), {
+    "repro.mapping.solution": ("Solution", "random_initial_solution"),
+    "repro.mapping.search_graph": (
+        "SearchGraph", "SearchGraphBuilder", "COMM_NODE",
+    ),
+    "repro.mapping.compiled": ("CompiledInstance", "compile_instance"),
+    "repro.mapping.engine": (
+        "ENGINES", "ArrayEngine", "EvaluationEngine", "FullRebuildEngine",
+        "IncrementalEngine", "make_engine",
+    ),
+    "repro.mapping.evaluator": ("Evaluation", "Evaluator"),
+    "repro.mapping.schedule": (
+        "Schedule", "ScheduleEntry", "extract_schedule",
+    ),
+    "repro.mapping.gantt": ("render_gantt",),
+    "repro.mapping.cost": ("CostFunction", "MakespanCost", "SystemCost"),
+    "repro.mapping.simulator": (
+        "ExecutionSimulator", "SimEvent", "SimulationResult", "simulate",
+    ),
+})

@@ -10,19 +10,7 @@ The motion-detection benchmark of section 5 is provided by
 :func:`repro.model.motion.motion_detection_application`.
 """
 
-from repro.model.task import Implementation, Task, pareto_filter, is_dominant_set
-from repro.model.application import Application
-from repro.model.functions import (
-    FunctionalitySpec,
-    synthesize_implementations,
-    FUNCTION_LIBRARY,
-)
-from repro.model.motion import (
-    motion_detection_application,
-    MOTION_TOTAL_SW_TIME_MS,
-)
-from repro.model.sdf import SdfActor, SdfChannel, SdfGraph
-from repro.model.generator import GeneratorConfig, random_application
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Implementation",
@@ -41,3 +29,18 @@ __all__ = [
     "GeneratorConfig",
     "random_application",
 ]
+
+lazy_exports(globals(), {
+    "repro.model.task": (
+        "Implementation", "Task", "pareto_filter", "is_dominant_set",
+    ),
+    "repro.model.application": ("Application",),
+    "repro.model.functions": (
+        "FunctionalitySpec", "synthesize_implementations", "FUNCTION_LIBRARY",
+    ),
+    "repro.model.motion": (
+        "motion_detection_application", "MOTION_TOTAL_SW_TIME_MS",
+    ),
+    "repro.model.sdf": ("SdfActor", "SdfChannel", "SdfGraph"),
+    "repro.model.generator": ("GeneratorConfig", "random_application"),
+})

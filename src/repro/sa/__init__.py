@@ -10,17 +10,7 @@ adaptively; it is anytime — interrupt it and the best solution so far is
 returned.
 """
 
-from repro.sa.schedules import (
-    CoolingSchedule,
-    GeometricSchedule,
-    LamDelosmeSchedule,
-    ModifiedLamSchedule,
-    make_schedule,
-)
-from repro.sa.moves import MoveGenerator, MoveStats
-from repro.sa.annealer import AnnealerConfig, AnnealingResult, SimulatedAnnealing
-from repro.sa.explorer import DesignSpaceExplorer, ExplorationResult
-from repro.sa.trace import TraceRecord
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CoolingSchedule",
@@ -37,3 +27,16 @@ __all__ = [
     "ExplorationResult",
     "TraceRecord",
 ]
+
+lazy_exports(globals(), {
+    "repro.sa.schedules": (
+        "CoolingSchedule", "GeometricSchedule", "LamDelosmeSchedule",
+        "ModifiedLamSchedule", "make_schedule",
+    ),
+    "repro.sa.moves": ("MoveGenerator", "MoveStats"),
+    "repro.sa.annealer": (
+        "AnnealerConfig", "AnnealingResult", "SimulatedAnnealing",
+    ),
+    "repro.sa.explorer": ("DesignSpaceExplorer", "ExplorationResult"),
+    "repro.sa.trace": ("TraceRecord",),
+})

@@ -19,25 +19,7 @@ Parallel results are bit-identical to sequential ones for fixed seeds.
 and reports the winner.
 """
 
-from repro.search.strategy import (
-    SearchBudget,
-    SearchResult,
-    SearchStep,
-    SearchStrategy,
-    SearchTracker,
-)
-from repro.search.runner import (
-    InstanceSpec,
-    JobOutcome,
-    SearchJob,
-    StrategySpec,
-    STRATEGY_KINDS,
-    best_evaluation_of,
-    build_strategy,
-    derive_seeds,
-    run_search_jobs,
-)
-from repro.search.portfolio import PortfolioEntry, format_portfolio_table, run_portfolio
+from repro._lazy import lazy_exports
 
 __all__ = [
     "SearchBudget",
@@ -58,3 +40,18 @@ __all__ = [
     "format_portfolio_table",
     "run_portfolio",
 ]
+
+lazy_exports(globals(), {
+    "repro.search.strategy": (
+        "SearchBudget", "SearchResult", "SearchStep", "SearchStrategy",
+        "SearchTracker",
+    ),
+    "repro.search.runner": (
+        "InstanceSpec", "JobOutcome", "SearchJob", "StrategySpec",
+        "STRATEGY_KINDS", "best_evaluation_of", "build_strategy",
+        "derive_seeds", "run_search_jobs",
+    ),
+    "repro.search.portfolio": (
+        "PortfolioEntry", "format_portfolio_table", "run_portfolio",
+    ),
+})

@@ -17,8 +17,9 @@ ones for fixed seeds:
   each job through :func:`_isolate` so a shared ``Application`` or
   ``Architecture`` can never leak state between jobs, in either mode.
 * Jobs without an explicit seed get one derived from ``base_seed``
-  through ``numpy.random.SeedSequence`` spawning (with a pure-Python
-  fallback), so adding workers never re-deals the seeds.
+  through ``SeedSequence`` spawning (a pure-Python port of NumPy's, so
+  the seeds do not depend on the install), and adding workers never
+  re-deals them.
 * Outcomes are returned in submission order regardless of completion
   order.
 
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import operator
 import os
 import pickle
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -45,36 +47,75 @@ from repro.mapping.solution import Solution
 from repro.model.application import Application
 from repro.search.strategy import SearchBudget, SearchResult, SearchStrategy
 
-try:  # numpy is an optional dependency of the seed derivation only
-    from numpy.random import SeedSequence as _SeedSequence
-except ImportError:  # pragma: no cover - numpy is in the standard env
-    _SeedSequence = None
-
-
 # ----------------------------------------------------------------------
 # seeds
 # ----------------------------------------------------------------------
+# NumPy's ``SeedSequence`` (O'Neill's seed_seq hash mixing, pool of four
+# 32-bit words), ported so seeds never depend on the install and
+# deriving them never imports NumPy.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _uint32_words(value: int) -> List[int]:
+    """Little-endian 32-bit words of a non-negative integer (0 -> [0])."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _spawned_seed(entropy: List[int], index: int) -> int:
+    """``SeedSequence(entropy).spawn(index + 1)[index].generate_state(1)[0]``
+    for ``entropy`` given as its 32-bit words."""
+    words = entropy + [0] * (_POOL_SIZE - len(entropy)) + _uint32_words(index)
+    hash_const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x: int, y: int) -> int:
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ (result >> 16)
+
+    pool = [hashmix(word) for word in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    value = ((pool[0] ^ _INIT_B) * ((_INIT_B * _MULT_B) & _MASK32)) & _MASK32
+    return value ^ (value >> 16)
+
+
 def derive_seeds(base_seed: int, n: int) -> List[int]:
     """``n`` statistically independent 32-bit seeds from one base seed.
 
-    Uses ``numpy.random.SeedSequence.spawn`` (the recommended way to
-    key parallel streams); falls back to splitmix64-style mixing when
-    numpy is unavailable.  Deterministic in both cases.
+    Equal to ``numpy.random.SeedSequence(base_seed).spawn(n)`` with each
+    child's ``generate_state(1)[0]`` (the recommended way to key
+    parallel streams), computed in pure Python: the seeds are the same
+    whether or not NumPy is installed.
     """
     if n < 0:
         raise ConfigurationError("cannot derive a negative number of seeds")
-    if _SeedSequence is not None:
-        children = _SeedSequence(base_seed).spawn(n)
-        return [int(child.generate_state(1)[0]) for child in children]
-    seeds = []
-    state = (base_seed & 0xFFFFFFFFFFFFFFFF) or 0x9E3779B97F4A7C15
-    for _ in range(n):
-        state = (state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-        seeds.append((z ^ (z >> 31)) & 0xFFFFFFFF)
-    return seeds
+    base_seed = operator.index(base_seed)
+    if base_seed < 0:
+        raise ConfigurationError(
+            f"base seed must be a non-negative integer, got {base_seed}"
+        )
+    entropy = _uint32_words(base_seed)
+    return [_spawned_seed(entropy, index) for index in range(n)]
 
 
 # ----------------------------------------------------------------------
@@ -571,7 +612,10 @@ def run_search_jobs(
     if jobs < 1:
         raise ConfigurationError("jobs must be >= 1")
     sealed: List[SearchJob] = []
-    derived = derive_seeds(base_seed, len(job_list))
+    derived = (
+        derive_seeds(base_seed, len(job_list))
+        if any(job.seed is None for job in job_list) else []
+    )
     job_telemetry = (
         telemetry.job_config() if telemetry is not None else None
     )

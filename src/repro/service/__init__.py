@@ -13,23 +13,7 @@ Three layers (see the README architecture section):
   ``repro serve`` CLI behind it.
 """
 
-from repro.service.jobs import DEFAULT_STALE_AFTER_S, JobQueue, run_workers
-from repro.service.service import (
-    STATS_FORMAT,
-    STATS_SCHEMA_VERSION,
-    SUBMIT_STATUSES,
-    ExplorationService,
-    SubmitOutcome,
-)
-from repro.service.store import (
-    RECORD_FORMAT,
-    RECORD_SCHEMA_VERSION,
-    RECORD_STATES,
-    JobRecord,
-    ResultStore,
-    compose_cache_key,
-    instance_hash_for,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DEFAULT_STALE_AFTER_S",
@@ -48,3 +32,17 @@ __all__ = [
     "instance_hash_for",
     "run_workers",
 ]
+
+lazy_exports(globals(), {
+    "repro.service.jobs": (
+        "DEFAULT_STALE_AFTER_S", "JobQueue", "run_workers",
+    ),
+    "repro.service.service": (
+        "STATS_FORMAT", "STATS_SCHEMA_VERSION", "SUBMIT_STATUSES",
+        "ExplorationService", "SubmitOutcome",
+    ),
+    "repro.service.store": (
+        "RECORD_FORMAT", "RECORD_SCHEMA_VERSION", "RECORD_STATES", "JobRecord",
+        "ResultStore", "compose_cache_key", "instance_hash_for",
+    ),
+})

@@ -40,7 +40,7 @@ from repro.api.facade import ExplorationResponse, explore
 from repro.api.specs import ExplorationRequest
 from repro.errors import ConfigurationError, ReproError, ServiceError
 from repro.obs.telemetry import NULL, Telemetry
-from repro.service.store import ResultStore
+from repro.service.store import ResultStore, publish_new
 
 __all__ = [
     "DEFAULT_STALE_AFTER_S",
@@ -74,16 +74,7 @@ class JobQueue:
         """Drop the work ticket for ``key``; False if already queued."""
         if not self.store.has_record(key):
             raise ServiceError(f"cannot enqueue {key!r}: no record row")
-        path = self.store.queue_ticket(key)
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return False
-        try:
-            os.write(fd, key.encode("ascii"))
-        finally:
-            os.close(fd)
-        return True
+        return publish_new(self.store.queue_ticket(key), key)
 
     def pending_keys(self) -> List[str]:
         """Queued keys, oldest ticket first (FIFO-ish claim order)."""
@@ -214,17 +205,7 @@ class JobQueue:
                 self.store.claim_ticket(key), self.store.queue_ticket(key)
             )
         except FileNotFoundError:
-            try:
-                fd = os.open(
-                    self.store.queue_ticket(key),
-                    os.O_CREAT | os.O_EXCL | os.O_WRONLY,
-                )
-            except FileExistsError:
-                return
-            try:
-                os.write(fd, key.encode("ascii"))
-            finally:
-                os.close(fd)
+            publish_new(self.store.queue_ticket(key), key)
 
     # -- execution -----------------------------------------------------
     def execute(self, key: str, jobs: int = 1) -> ExplorationResponse:

@@ -9,8 +9,8 @@ addressed (request hash × resolved instance hash), and
   CPU spent;
 * a ``pending``/``running`` record is an **in-flight dedupe** — the
   submit attaches to the existing computation instead of starting a
-  second one (the O_EXCL record creation in the store makes this hold
-  even when two submits race);
+  second one (the store's exclusive, link-published record creation
+  makes this hold even when two submits race);
 * a ``failed`` record is **resubmitted** — back to ``pending`` and
   re-ticketed, keeping its attempt history;
 * no record means a **cache miss** — row + queue ticket are created
@@ -42,7 +42,7 @@ from repro.api.specs import ExplorationRequest
 from repro.errors import ConfigurationError, MappingError, ServiceError
 from repro.obs.telemetry import NULL
 from repro.service.jobs import JobQueue
-from repro.service.store import InstanceInfo, JobRecord, ResultStore
+from repro.service.store import InstanceInfo, JobRecord, ResultStore, is_temp
 
 __all__ = [
     "STATS_FORMAT",
@@ -58,6 +58,10 @@ STATS_SCHEMA_VERSION = 2
 #: a deadline-capped in-process run served a best-so-far envelope while
 #: the full job stays queued.
 SUBMIT_STATUSES = ("hit", "queued", "inflight", "resubmitted", "partial")
+
+#: Age after which an unpublished ``*.tmp.*`` file counts as the leftover
+#: of a crashed writer (a live writer publishes within milliseconds).
+ORPHAN_TEMP_AGE_S = 60.0
 
 #: Request kinds whose records can donate/receive warm-start seeds (one
 #: fixed instance per run, so the best solution maps onto a near
@@ -415,13 +419,15 @@ class ExplorationService:
         * ``failed`` — drop failed records (their error is in the
           history; resubmitting later simply recreates the row);
         * ``orphans`` — tickets/envelopes whose record row is gone
-          (half-states from crashes or manual deletion);
+          (half-states from crashes or manual deletion), and temp files
+          older than :data:`ORPHAN_TEMP_AGE_S` that a crashed writer
+          never published;
         * ``done_older_than_s`` — age out completed records + their
           envelopes (the cache eviction knob).
         """
         now = time.time() if now is None else now
         removed = {"failed": 0, "done": 0, "orphan_tickets": 0,
-                   "orphan_results": 0}
+                   "orphan_results": 0, "orphan_temp": 0}
         for record in self.store.iter_records():
             if failed and record.status == "failed":
                 self.store.delete_record(record.key)
@@ -468,4 +474,28 @@ class ExplorationService:
                         except FileNotFoundError:
                             continue
                         removed["orphan_tickets"] += 1
+            removed["orphan_temp"] = self._sweep_temp(now)
         return removed
+
+    def _sweep_temp(self, now: float) -> int:
+        """Unlink temp files older than :data:`ORPHAN_TEMP_AGE_S`."""
+        swept = 0
+        for subdir in (
+            self.store.RECORDS_DIR, self.store.RESULTS_DIR,
+            self.store.QUEUE_DIR, self.store.INSTANCES_DIR,
+        ):
+            directory = os.path.join(self.store.root, subdir)
+            if not os.path.isdir(directory):
+                continue
+            for name in os.listdir(directory):
+                if not is_temp(name):
+                    continue
+                path = os.path.join(directory, name)
+                try:
+                    if now - os.path.getmtime(path) < ORPHAN_TEMP_AGE_S:
+                        continue
+                    os.unlink(path)
+                except FileNotFoundError:
+                    continue  # published or swept meanwhile
+                swept += 1
+        return swept

@@ -24,13 +24,19 @@ On-disk layout (JSON files + atomic rename, no external database)::
       claims/<key>.ticket   work owned by a worker (crash-safe: a stale
                             claim is renamed back into queue/)
 
-Every write is append-safe: new content goes to a temp file in the same
-directory and is atomically renamed over the target, so readers never
-observe a torn record and two racing writers resolve to one winner.
-Record *creation* uses ``O_CREAT | O_EXCL``, which is the store's one
-point of mutual exclusion — exactly one of N racing submitters creates
-the row, everyone else observes it (the dedupe guarantee of the
-service).  The record/probe-history idiom follows the persistent mirror
+No file is ever written in place.  New content goes to a temp file
+(``<name>.tmp.<pid>.<thread>``) in the same directory and is fsynced
+before it becomes visible: an update is ``os.replace``-d over the
+target, and a *new* file (a record row, a queue ticket) is published
+with ``os.link``, which fails with ``EEXIST`` atomically when the target
+exists.  A reader therefore sees a whole file or none: the previous
+version or the new one, never a partial write.  Publishing by link is
+the store's one point of mutual exclusion — exactly one of N racing
+submitters creates the row, everyone else reads the winner's complete
+row (the dedupe guarantee of the service).  A writer that crashes
+between the temp write and the publish leaves a ``*.tmp.*`` file
+behind; :meth:`repro.service.service.ExplorationService.gc` sweeps
+those.  The record/probe-history idiom follows the persistent mirror
 records of Launchpad's ``distributionmirror.py`` (see SNIPPETS.md #3):
 each row keeps its full state-transition history next to the current
 freshness state.
@@ -41,6 +47,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
@@ -265,15 +272,60 @@ class JobRecord:
 
 
 # ----------------------------------------------------------------------
+# file publishing
+# ----------------------------------------------------------------------
+#: Marker in the name of a file not yet published (see :func:`is_temp`).
+_TEMP_MARKER = ".tmp."
+
+
+def is_temp(name: str) -> bool:
+    """Whether a store file name is an unpublished temp file."""
+    return _TEMP_MARKER in name
+
+
+def _write_temp(path: str, text: str) -> str:
+    """Write ``text`` to a temp file next to ``path`` and fsync it;
+    returns the temp path.  The name is unique per process and thread,
+    so concurrent writers of one target never share a temp file."""
+    tmp = f"{path}{_TEMP_MARKER}{os.getpid()}.{threading.get_ident()}"
+    with open(tmp, "w", encoding="utf-8") as handle:
+        handle.write(text)
+        handle.flush()
+        os.fsync(handle.fileno())
+    return tmp
+
+
+def publish_new(path: str, text: str) -> bool:
+    """Create ``path`` holding ``text`` unless it exists; False when
+    another writer got there first.
+
+    The whole content is written and fsynced to a temp file, then
+    ``os.link``-ed to ``path``.  The link fails with ``EEXIST``
+    atomically, so a reader never sees ``path`` empty or partial, and
+    of N racing writers exactly one wins.  The temp file is unlinked
+    either way.
+    """
+    tmp = _write_temp(path, text)
+    try:
+        os.link(tmp, path)
+    except FileExistsError:
+        return False
+    finally:
+        os.unlink(tmp)
+    return True
+
+
+# ----------------------------------------------------------------------
 # the store
 # ----------------------------------------------------------------------
 class ResultStore:
     """Filesystem-backed content-addressed store (records + envelopes).
 
     All methods are safe to call from any number of processes sharing
-    ``root``: reads parse whole files (atomic-rename writes mean no torn
-    state), record creation is ``O_EXCL``-exclusive, and queue/claim
-    ticket moves are single ``rename`` calls with exactly one winner.
+    ``root``: reads parse whole files (writes are published by rename
+    or link, never in place), record creation is exclusive (first
+    ``link`` wins), and queue/claim ticket moves are single ``rename``
+    calls with exactly one winner.
     """
 
     RECORDS_DIR = "records"
@@ -345,12 +397,7 @@ class ResultStore:
 
     # -- atomic write --------------------------------------------------
     def _atomic_write(self, path: str, text: str) -> None:
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        os.replace(_write_temp(path, text), path)
 
     # -- records -------------------------------------------------------
     def create_record(
@@ -359,10 +406,15 @@ class ResultStore:
     ) -> Tuple[JobRecord, bool]:
         """Create the row for ``key`` if absent; ``(record, created)``.
 
-        ``O_CREAT | O_EXCL`` on the record file makes exactly one of N
-        racing creators win; losers re-read the winner's row.  The row
-        is born ``pending`` with its first probe-history entry.
+        The row is published with :func:`publish_new`, so exactly one
+        of N racing creators wins and the losers re-read the winner's
+        complete row.  The row is born ``pending`` with its first
+        probe-history entry.  An existing row is read straight away:
+        cache hits and in-flight dedupes, the common submits, write
+        (and fsync) nothing here.
         """
+        if self.has_record(key):
+            return self.load_record(key), False
         record = JobRecord(
             key=key,
             request_hash=request_hash,
@@ -371,17 +423,9 @@ class ResultStore:
             created_ts=time.time(),
         )
         record.transition("pending", now=record.created_ts)
-        path = self.record_path(key)
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
+        text = json.dumps(record.to_dict(), indent=2)
+        if not publish_new(self.record_path(key), text):
             return self.load_record(key), False
-        try:
-            text = json.dumps(record.to_dict(), indent=2)
-            os.write(fd, text.encode("utf-8"))
-            os.fsync(fd)
-        finally:
-            os.close(fd)
         return record, True
 
     def load_record(self, key: str) -> JobRecord:

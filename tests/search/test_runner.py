@@ -99,11 +99,55 @@ class TestParallelEquivalence:
             run_search_jobs([bad])
 
 
+#: ``numpy.random.SeedSequence(base).spawn(n)`` children's
+#: ``generate_state(1)[0]``, recorded with NumPy 2.4.6: the pure-Python
+#: derivation must reproduce them with or without NumPy installed.
+SEED_GOLDENS = [
+    (0, [3757552657, 673228719, 3241444873, 3685993406]),
+    (7, [1201125462, 3618983171, 3831650445, 3842200183]),
+    (42, [2684470948, 4091952314, 233227757]),
+    (2**32 - 1, [973442627, 908003510]),
+    (2**32, [2821894394, 1959213352]),
+    (2**40 + 5, [678232507, 1581681631]),
+    (2**64 + 3, [3034908674, 1847640136]),
+    (2**127 + 12345, [1727869945, 2599628924]),
+]
+
+#: Single- and multi-word bases (>= 2**32, >= 2**64, 128-bit).
+NUMPY_BASES = [0, 1, 7, 42, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**40 + 5,
+               2**64 - 1, 2**64, 2**64 + 3, 2**96 + 7, 2**127 + 12345,
+               2**128 - 1]
+
+
 class TestSeeds:
     def test_derive_seeds_deterministic(self):
         assert derive_seeds(42, 5) == derive_seeds(42, 5)
         assert derive_seeds(42, 5) != derive_seeds(43, 5)
         assert len(set(derive_seeds(0, 100))) == 100
+
+    @pytest.mark.parametrize("base, expected", SEED_GOLDENS)
+    def test_derive_seeds_golden(self, base, expected):
+        assert derive_seeds(base, len(expected)) == expected
+
+    def test_derive_seeds_is_prefix_stable(self):
+        assert derive_seeds(7, 10)[:4] == derive_seeds(7, 4)
+        assert derive_seeds(7, 0) == []
+
+    @pytest.mark.parametrize("base", NUMPY_BASES)
+    @pytest.mark.parametrize("n", [1, 5, 100])
+    def test_derive_seeds_match_numpy_seed_sequence(self, base, n):
+        np_random = pytest.importorskip("numpy.random")
+        children = np_random.SeedSequence(base).spawn(n)
+        expected = [int(child.generate_state(1)[0]) for child in children]
+        assert derive_seeds(base, n) == expected
+
+    def test_derive_seeds_rejects_bad_input(self):
+        with pytest.raises(ConfigurationError):
+            derive_seeds(-1, 2)
+        with pytest.raises(ConfigurationError):
+            derive_seeds(1, -2)
+        with pytest.raises(TypeError):
+            derive_seeds(1.5, 2)
 
     def test_unseeded_jobs_get_position_stable_seeds(
         self, small_app, small_arch

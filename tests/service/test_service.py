@@ -14,7 +14,11 @@ from repro.api.specs import BudgetSpec, ExplorationRequest
 from repro.errors import ServiceError
 from repro.obs.telemetry import Telemetry
 from repro.service import ExplorationService
-from repro.service.service import STATS_FORMAT, STATS_SCHEMA_VERSION
+from repro.service.service import (
+    ORPHAN_TEMP_AGE_S,
+    STATS_FORMAT,
+    STATS_SCHEMA_VERSION,
+)
 
 
 def small_request(**overrides):
@@ -228,6 +232,23 @@ class TestStatsAndGc:
         assert removed["failed"] == 1
         assert removed["orphan_tickets"] == 1
         assert not service.store.has_record(key)
+
+    def test_gc_sweeps_only_stale_temp_files(self, service):
+        import os
+        import time
+
+        stale = service.store.record_path("8" * 64) + ".tmp.1.2"
+        fresh = service.store.queue_ticket("7" * 64) + ".tmp.1.2"
+        for path in (stale, fresh):
+            with open(path, "w") as handle:
+                handle.write("{")
+        old = time.time() - 2 * ORPHAN_TEMP_AGE_S
+        os.utime(stale, (old, old))
+        removed = service.gc()
+        assert removed["orphan_temp"] == 1
+        assert not os.path.exists(stale)
+        assert os.path.exists(fresh)  # may belong to a live writer
+        assert removed["orphan_tickets"] == 0
 
     def test_gc_ages_out_done_records(self, service):
         import time

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import sys
+import threading
 
 import pytest
 
@@ -19,6 +21,8 @@ from repro.service.store import (
     ResultStore,
     compose_cache_key,
     instance_hash_for,
+    is_temp,
+    publish_new,
 )
 
 
@@ -200,3 +204,63 @@ class TestResultStore:
         assert not store.has_record(key)
         assert not os.path.exists(store.queue_ticket(key))
         assert not os.path.exists(store.result_path(key))
+
+
+class TestPublish:
+    def test_publish_new_has_one_winner_and_leaves_no_temp(self, tmp_path):
+        path = str(tmp_path / "row.json")
+        assert publish_new(path, "first")
+        assert not publish_new(path, "second")
+        with open(path) as handle:
+            assert handle.read() == "first"
+        assert os.listdir(tmp_path) == ["row.json"]
+
+    def test_racing_creators_never_expose_a_partial_record(self, store):
+        """A reader polling while 8 threads create the same key sees no
+        record or a whole one, never an empty or torn file."""
+        request = small_request()
+        _, rh, ih = store.cache_key(request)
+        document = request.to_dict()
+        racers = 8
+        torn = []
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            for round_index in range(50):
+                key = f"{round_index:064x}"
+                barrier = threading.Barrier(racers + 1, timeout=10)
+                done = threading.Event()
+                created = []
+
+                def poll():
+                    barrier.wait()
+                    while not done.is_set():
+                        try:
+                            store.load_record(key)
+                        except ServiceError as exc:
+                            if "no record" not in str(exc):
+                                torn.append(str(exc))
+
+                def create():
+                    barrier.wait()
+                    _, won = store.create_record(key, rh, ih, document)
+                    created.append(won)
+
+                poller = threading.Thread(target=poll)
+                threads = [
+                    threading.Thread(target=create) for _ in range(racers)
+                ]
+                poller.start()
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                done.set()
+                poller.join(timeout=10)
+                assert not any(t.is_alive() for t in threads + [poller])
+                assert sorted(created) == [False] * (racers - 1) + [True]
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert torn == []
+        records = os.listdir(os.path.join(store.root, store.RECORDS_DIR))
+        assert not [name for name in records if is_temp(name)]

@@ -1,0 +1,89 @@
+"""Import budget: a process loads only the layers its request runs.
+
+Every check starts a fresh interpreter, because the test process itself
+has long since imported everything.  The package surface is lazy
+(PEP 562), so ``import repro`` loads no layer, and a seeded single-SA
+explore never touches NumPy or the service, bench, experiment, analysis
+and baseline layers.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+QUICK_SPEC = os.path.join(ROOT, "examples", "specs", "motion_quick.json")
+
+#: Layers a seeded single-SA explore must not load.
+EXPLORE_FORBIDDEN = (
+    "numpy", "repro.service", "repro.bench", "repro.experiments",
+    "repro.analysis", "repro.baselines",
+)
+
+
+def modules_after(code: str, tmp_path) -> list:
+    """``sys.modules`` of a fresh interpreter after running ``code``."""
+    out = tmp_path / "modules.json"
+    script = (
+        code
+        + "\nimport json, sys\n"
+        + f"open({str(out)!r}, 'w').write(json.dumps(sorted(sys.modules)))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(out.read_text())
+
+
+def loaded(modules: list, layer: str) -> list:
+    return [m for m in modules if m == layer or m.startswith(layer + ".")]
+
+
+def test_import_repro_loads_no_numpy(tmp_path):
+    modules = modules_after("import repro", tmp_path)
+    assert "numpy" not in modules
+    assert loaded(modules, "repro") == ["repro", "repro._lazy", "repro.errors"]
+
+
+def test_explore_loads_only_what_it_runs(tmp_path):
+    code = (
+        "import runpy, sys\n"
+        "sys.argv = ['repro', 'explore', '--spec', "
+        f"{QUICK_SPEC!r}, '--json']\n"
+        "try:\n"
+        "    runpy.run_module('repro', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+    )
+    modules = modules_after(code, tmp_path)
+    assert "repro.search.runner" in modules  # the explore did run
+    for layer in EXPLORE_FORBIDDEN:
+        assert loaded(modules, layer) == [], layer
+
+
+def test_bench_registry_is_filled_in_a_fresh_interpreter(tmp_path):
+    modules_after(
+        "from repro.bench.harness import list_cases\n"
+        "assert list_cases(), 'no registered bench cases'\n",
+        tmp_path,
+    )
+
+
+def test_seed_derivation_needs_no_numpy(tmp_path):
+    """With NumPy blocked, the derived seeds are NumPy's own."""
+    modules_after(
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from repro import derive_seeds\n"
+        "assert derive_seeds(7, 4) == "
+        "[1201125462, 3618983171, 3831650445, 3842200183]\n",
+        tmp_path,
+    )

@@ -6,8 +6,18 @@ deliberate, reviewed event (update the list in the same commit) rather
 than an accident.
 """
 
+import importlib
+
+import pytest
+
 import repro
 import repro.api
+
+#: Every subpackage with a re-exporting ``__init__``.
+SUBPACKAGES = [
+    "analysis", "api", "arch", "baselines", "bench", "experiments",
+    "graph", "mapping", "model", "obs", "sa", "search", "service",
+]
 
 #: The pinned public surface of the top-level package.
 REPRO_SURFACE = sorted([
@@ -111,3 +121,46 @@ class TestPublicApi:
             pass
         else:  # pragma: no cover
             raise AssertionError("expected ReproError")
+
+
+class TestLazySurface:
+    """``repro`` and its subpackages resolve their names on first use
+    (PEP 562); the surface must look exactly like an eager one."""
+
+    @pytest.mark.parametrize("name", ["repro"] + [
+        f"repro.{sub}" for sub in SUBPACKAGES
+    ])
+    def test_every_export_resolves_and_is_listed(self, name):
+        package = importlib.import_module(name)
+        listed = dir(package)
+        for export in package.__all__:
+            assert getattr(package, export) is not None, export
+            assert export in listed, export
+
+    @pytest.mark.parametrize("name", ["repro"] + [
+        f"repro.{sub}" for sub in SUBPACKAGES
+    ])
+    def test_star_import(self, name):
+        namespace = {}
+        exec(f"from {name} import *", namespace)
+        package = importlib.import_module(name)
+        for export in package.__all__:
+            assert namespace[export] is getattr(package, export), export
+
+    def test_unknown_name_is_an_attribute_error(self):
+        assert not hasattr(repro, "no_such_name")
+        assert not hasattr(repro.mapping, "no_such_name")
+        with pytest.raises(AttributeError, match="no_such_name"):
+            repro.search.no_such_name
+
+    def test_names_resolve_to_their_defining_objects(self):
+        from repro.api import specs
+        from repro.mapping import evaluator
+        from repro.search import runner
+
+        assert repro.Evaluator is evaluator.Evaluator
+        assert repro.mapping.Evaluator is evaluator.Evaluator
+        # the two StrategySpec classes stay distinct (see repro.__all__)
+        assert repro.StrategySpec is runner.StrategySpec
+        assert repro.api.StrategySpec is specs.StrategySpec
+        assert repro.api is importlib.import_module("repro.api")
