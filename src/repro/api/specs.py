@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
@@ -392,20 +393,18 @@ class BudgetSpec(_SpecBase):
 
 @dataclass(frozen=True)
 class EngineSpec(_SpecBase):
-    """Evaluation engine: ``"incremental"`` (delta-patching fast path,
-    default), ``"array"`` (compiled NumPy struct-of-arrays engine with
-    persistent longest-path DP and batched move evaluation) or
-    ``"full"`` (reference rebuild) — bit-identical results either way
-    (engine parity is enforced by the test suite).
+    """Evaluation engine: ``"incremental"`` (delta-patching engine with
+    persistent topological order and longest-path DP, default),
+    ``"array"`` (the same engine under its earlier name, kept so stored
+    specs resolve) or ``"full"`` (reference rebuild) — bit-identical
+    results either way (engine parity is enforced by the test suite).
 
-    ``options`` holds engine tuning knobs (speed only, never behavior).
-    Two are accepted, both for the ``array`` engine:
-    ``kernel_batch_min_work`` — the minimum ``batch_size * num_nodes``
-    at which batched move evaluation takes the fused NumPy kernel path
-    instead of the scalar loop — and ``dispatch`` —
-    ``"auto"`` (default; pick per call site from the compiled graph's
-    level statistics), ``"kernel"`` (force the fused lane kernels) or
-    ``"scalar"`` (force the persistent scalar DP).
+    ``options`` is empty for every current engine.  Two retired
+    ``array``-engine tuning knobs, ``kernel_batch_min_work`` (an integer
+    >= 0) and ``dispatch`` (``"auto"``, ``"kernel"`` or ``"scalar"``),
+    are still accepted and type-checked so stored specs keep validating
+    and keep their content hash; they have no effect and validation
+    emits a :class:`DeprecationWarning`.
     """
 
     kind: str = "incremental"
@@ -438,14 +437,19 @@ class EngineSpec(_SpecBase):
                     f"integer >= 0, got {threshold!r}"
                 )
         if "dispatch" in options:
-            from repro.mapping.engine import ArrayEngine
-
             mode = options["dispatch"]
-            if mode not in ArrayEngine.DISPATCH_MODES:
+            if mode not in ("auto", "kernel", "scalar"):
                 raise ConfigurationError(
                     "engine option 'dispatch' must be one of "
-                    f"{list(ArrayEngine.DISPATCH_MODES)}, got {mode!r}"
+                    f"['auto', 'kernel', 'scalar'], got {mode!r}"
                 )
+        if options:
+            warnings.warn(
+                f"engine option(s) {sorted(options)} have no effect: the "
+                "'array' engine no longer has tuning knobs",
+                DeprecationWarning,
+                stacklevel=2,
+            )
 
 
 # ----------------------------------------------------------------------

@@ -18,14 +18,10 @@ __all__ = [
     "decode_partition",
     "GeneticConfig",
     "GeneticPartitioner",
-    "GeneticResult",
     "TabuConfig",
     "TabuSearch",
-    "TabuResult",
     "HillClimber",
-    "HillClimbResult",
     "RandomSearch",
-    "RandomSearchResult",
 ]
 
 lazy_exports(globals(), {
@@ -33,10 +29,8 @@ lazy_exports(globals(), {
     "repro.baselines.list_scheduler": (
         "list_schedule_software", "decode_partition",
     ),
-    "repro.baselines.ga": (
-        "GeneticConfig", "GeneticPartitioner", "GeneticResult",
-    ),
-    "repro.baselines.tabu": ("TabuConfig", "TabuSearch", "TabuResult"),
-    "repro.baselines.hill_climber": ("HillClimber", "HillClimbResult"),
-    "repro.baselines.random_search": ("RandomSearch", "RandomSearchResult"),
+    "repro.baselines.ga": ("GeneticConfig", "GeneticPartitioner"),
+    "repro.baselines.tabu": ("TabuConfig", "TabuSearch"),
+    "repro.baselines.hill_climber": ("HillClimber",),
+    "repro.baselines.random_search": ("RandomSearch",),
 })

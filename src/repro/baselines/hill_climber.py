@@ -24,12 +24,6 @@ from repro.search.strategy import (
     StepCallback,
 )
 
-#: Deprecated alias — hill climbing returns the unified
-#: :class:`~repro.search.strategy.SearchResult` since the search-layer
-#: refactor.
-HillClimbResult = SearchResult
-
-
 class HillClimber(SearchStrategy):
     """First-improvement stochastic hill climbing.
 

@@ -26,12 +26,6 @@ from repro.search.strategy import (
     StepCallback,
 )
 
-#: Deprecated alias — random search returns the unified
-#: :class:`~repro.search.strategy.SearchResult` since the search-layer
-#: refactor.
-RandomSearchResult = SearchResult
-
-
 class RandomSearch(SearchStrategy):
     """Best of N independent random solutions.
 

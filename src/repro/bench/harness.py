@@ -408,19 +408,11 @@ def move_eval_loop(
     compiled = getattr(evaluator.engine, "compiled", None)
     if compiled is None:
         compiled = compile_instance(application, architecture.bus)
-    # Static graph shape from the compile pass: the depth-aware
-    # dispatcher keys off these (deep/narrow graphs ride the scalar
-    # persistent path, shallow/wide ones the fused kernels), so the
-    # report records them next to every throughput number.
+    # Static graph shape from the compile pass and the engine's internal
+    # telemetry counters (memo/cycle-witness hit rates, order repairs)
+    # next to every throughput number make regressions attributable.
     out["depth"] = compiled.depth
     out["mean_level_width"] = compiled.mean_level_width
-    resolved = getattr(evaluator.engine, "resolved_dispatch", None)
-    if resolved is not None:
-        # Where the auto dispatcher would route this graph's batches
-        # (kernel vs scalar), plus the engine's internal telemetry
-        # counters — memo/cycle-witness hit rates next to every
-        # throughput number make dispatch regressions attributable.
-        out["dispatch_route"] = resolved()
     for name, value in sorted(evaluator.telemetry_counters().items()):
         out[f"counter_{name}"] = value
     if time_evals_only:

@@ -262,13 +262,9 @@ def _population_vs_sequential(
     persistent per-chain delta path (apply → delta-sync → read the
     makespan, commit-on-accept) against both sequential baselines (full
     rebuild and incremental delta repair) at an identical per-chain
-    round budget.  The depth-aware dispatcher routes these deep/narrow
-    graphs (tgff/120: mean level width ~10.7 over 29 static levels)
-    onto the scalar persistent path — the fused K-lane kernels, which
-    pay their dispatch cost once per topological level, only win on
-    shallow/wide graphs (see README, Performance notes).  Each path
-    reports the best of two identically-seeded timed runs, damping
-    scheduler noise symmetrically.
+    round budget (tgff/120: mean level width ~10.7 over 29 static
+    levels).  Each path reports the best of two identically-seeded
+    timed runs, damping scheduler noise symmetrically.
     """
     chains = 8
     rounds = max(10, context.iterations // chains)

@@ -103,16 +103,6 @@ def _budget_spec(args: argparse.Namespace) -> BudgetSpec:
     )
 
 
-def _engine_spec(args: argparse.Namespace) -> EngineSpec:
-    """``--engine`` plus the optional ``--dispatch`` tuning knob, folded
-    into the spec-layer options (key-minimal: absent unless given)."""
-    options = {}
-    dispatch = getattr(args, "dispatch", None)
-    if dispatch is not None:
-        options["dispatch"] = dispatch
-    return EngineSpec(args.engine, options)
-
-
 def _explore_request(args: argparse.Namespace) -> ExplorationRequest:
     keep_trace = bool(args.plot or args.trace_csv)
     kind = getattr(args, "strategy", "sa")
@@ -128,7 +118,7 @@ def _explore_request(args: argparse.Namespace) -> ExplorationRequest:
         architecture=_architecture_spec(args.architecture, args.clbs),
         strategy=StrategySpec(kind, options),
         budget=_budget_spec(args),
-        engine=_engine_spec(args),
+        engine=EngineSpec(args.engine),
         seed=args.seed,
     )
 
@@ -139,7 +129,7 @@ def _sweep_request(args: argparse.Namespace) -> ExplorationRequest:
         application=_application_spec(args.application),
         strategy=StrategySpec("sa", {"keep_trace": False}),
         budget=_budget_spec(args),
-        engine=_engine_spec(args),
+        engine=EngineSpec(args.engine),
         seed=args.seed,
         runs=args.runs,
         sizes=tuple(int(s) for s in args.sizes.split(",")),
@@ -152,7 +142,7 @@ def _portfolio_request(args: argparse.Namespace) -> ExplorationRequest:
         application=_application_spec(args.application),
         architecture=_architecture_spec(args.architecture, args.clbs),
         budget=_budget_spec(args),
-        engine=_engine_spec(args),
+        engine=EngineSpec(args.engine),
         seed=args.seed,
     )
 
@@ -481,7 +471,7 @@ def _serve_request(args: argparse.Namespace) -> ExplorationRequest:
         architecture=_architecture_spec(args.architecture, args.clbs),
         strategy=StrategySpec("sa", {"keep_trace": False}),
         budget=_budget_spec(args),
-        engine=_engine_spec(args),
+        engine=EngineSpec(args.engine),
         seed=args.seed,
     )
 
@@ -710,17 +700,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "without improving the best cost")
         p.add_argument("--engine", default="incremental",
                        choices=["full", "incremental", "array"],
-                       help="evaluation engine (array = compiled NumPy "
-                            "struct-of-arrays engine, incremental = "
-                            "delta-patching fast path, full = reference "
-                            "rebuild; makespans are bit-identical)")
-        p.add_argument("--dispatch", default=None,
-                       choices=["auto", "kernel", "scalar"],
-                       help="array-engine batch dispatch: auto picks "
-                            "from the compiled graph's level stats, "
-                            "kernel forces the fused NumPy lanes, "
-                            "scalar forces the persistent delta path "
-                            "(results are bit-identical)")
+                       help="evaluation engine (incremental = "
+                            "delta-patching fast path, array = its "
+                            "earlier name, full = reference rebuild; "
+                            "makespans are bit-identical)")
         p.add_argument("--json", action="store_true",
                        help="print the machine-readable response envelope")
 

@@ -96,8 +96,7 @@ class Evaluator:
         return self.engine.evaluate(solution, strict=strict)
 
     def evaluate_batch(self, solution: Solution, moves, cost_function=None):
-        """Score K candidate moves against ``solution`` in one call
-        (vectorized with the array engine); see
+        """Score K candidate moves against ``solution`` in one call; see
         :meth:`repro.mapping.engine.EvaluationEngine.evaluate_batch`."""
         return self.engine.evaluate_batch(solution, moves, cost_function)
 

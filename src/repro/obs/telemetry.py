@@ -6,7 +6,7 @@ runner job, a façade request).  Layers feed it three kinds of data:
 * **events** — append-only structured records (``{"ts": ..., "kind":
   ..., **payload}``) with monotonic timestamps, serialized as JSONL;
 * **counters / gauges** — cheap integers and scalars (engine memo hits,
-  dispatch routes, delta sizes);
+  order repairs, delta sizes);
 * **timers** — per-phase wall-clock accumulators fed by
   :meth:`Telemetry.phase` spans (``propose`` / ``evaluate`` /
   ``accept`` ...).

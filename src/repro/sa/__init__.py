@@ -21,7 +21,6 @@ __all__ = [
     "MoveGenerator",
     "MoveStats",
     "AnnealerConfig",
-    "AnnealingResult",
     "SimulatedAnnealing",
     "DesignSpaceExplorer",
     "ExplorationResult",
@@ -34,9 +33,7 @@ lazy_exports(globals(), {
         "ModifiedLamSchedule", "make_schedule",
     ),
     "repro.sa.moves": ("MoveGenerator", "MoveStats"),
-    "repro.sa.annealer": (
-        "AnnealerConfig", "AnnealingResult", "SimulatedAnnealing",
-    ),
+    "repro.sa.annealer": ("AnnealerConfig", "SimulatedAnnealing"),
     "repro.sa.explorer": ("DesignSpaceExplorer", "ExplorationResult"),
     "repro.sa.trace": ("TraceRecord",),
 })

@@ -51,12 +51,6 @@ from repro.search.strategy import (
     StepCallback,
 )
 
-#: Deprecated alias — the annealer returns the unified
-#: :class:`~repro.search.strategy.SearchResult` since the search-layer
-#: refactor.  Import :class:`SearchResult` directly in new code.
-AnnealingResult = SearchResult
-
-
 def default_warmup(iterations: int) -> int:
     """The paper's 1200 warmup iterations (Fig. 2), scaled down so
     small ``iterations`` budgets keep ``warmup < iterations``.  The one
@@ -90,8 +84,8 @@ class AnnealerConfig:
 
     ``batch_size`` opts into *batched neighborhood evaluation*: K
     candidate moves are proposed from the current state and scored
-    through ``evaluator.evaluate_batch`` in one call (one vectorized
-    kernel pass with the array engine), then processed sequentially
+    through ``evaluator.evaluate_batch`` in one call, then processed
+    sequentially
     under the Metropolis rule; an acceptance discards the not-yet-
     processed candidates, whose iterations are simply re-proposed from
     the new state.  To keep that re-proposal deterministic, batched mode
@@ -316,9 +310,8 @@ class SimulatedAnnealing(SearchStrategy):
         """Batched neighborhood evaluation (``config.batch_size`` set).
 
         Per round, up to K candidate moves are proposed from the current
-        state and scored through ``evaluator.evaluate_batch`` — one
-        vectorized kernel pass with the array engine — then processed
-        sequentially under the Metropolis rule.  The first acceptance
+        state and scored through ``evaluator.evaluate_batch``, then
+        processed sequentially under the Metropolis rule.  The first acceptance
         invalidates the not-yet-processed candidates (they were scored
         against the pre-acceptance state): they are discarded and their
         iteration indices re-proposed from the new state.  Each

@@ -20,7 +20,7 @@ from repro.mapping.cost import CostFunction, MakespanCost
 from repro.mapping.evaluator import Evaluation, Evaluator
 from repro.mapping.schedule import Schedule, extract_schedule
 from repro.mapping.solution import Solution, random_initial_solution
-from repro.sa.annealer import AnnealerConfig, AnnealingResult, SimulatedAnnealing
+from repro.sa.annealer import AnnealerConfig, SimulatedAnnealing
 from repro.sa.moves import MoveGenerator
 from repro.sa.schedules import CoolingSchedule, make_schedule
 from repro.sa.trace import TraceRecord
@@ -39,7 +39,7 @@ class ExplorationResult:
     best_solution: Solution
     best_evaluation: Evaluation
     initial_evaluation: Evaluation
-    annealing: AnnealingResult
+    annealing: SearchResult
 
     @property
     def trace(self) -> List[TraceRecord]:
@@ -183,7 +183,7 @@ class DesignSpaceExplorer(SearchStrategy):
 
     def run_interruptible(
         self,
-        stop: Callable[[AnnealingResult], bool],
+        stop: Callable[[SearchResult], bool],
         initial: Optional[Solution] = None,
     ) -> ExplorationResult:
         """Anytime variant: ``stop`` is polled after every iteration.
@@ -193,7 +193,7 @@ class DesignSpaceExplorer(SearchStrategy):
         """
         solution = initial if initial is not None else self.initial_solution()
         initial_evaluation = self.evaluator.evaluate(solution)
-        annealing: Optional[AnnealingResult] = None
+        annealing: Optional[SearchResult] = None
         for annealing in self.annealer.iterate(solution):
             if stop(annealing):
                 break

@@ -4,15 +4,9 @@ K independent annealing chains, each with its own current solution and
 its own permanently-bound evaluation engine, propose one move per round
 and score it through
 :meth:`repro.mapping.engine.CrossChainEvaluator.propose_moves`.  The
-measured finding of PRs 5/6 drives the hot path: the paper's task
-graphs anneal hundreds of topological levels deep, so per-chain
-*persistent delta evaluation* (apply → delta-sync → read the makespan,
-commit-on-accept, lazy O(delta) re-diff on reject) outruns the fused
-K-lane NumPy kernels at paper scale.  A depth-aware dispatcher
-(``EngineSpec.options["dispatch"]``, default ``"auto"``) consults the
-compile pass's level statistics and only routes rounds through the
-fused :func:`repro.graph.kernels.batched_longest_path` pass when the
-graph is shallow/wide enough to amortize per-level kernel dispatch.
+paper's task graphs anneal hundreds of topological levels deep, so the
+hot path is per-chain *persistent delta evaluation*: apply → delta-sync
+→ read the makespan, commit-on-accept, lazy O(delta) re-diff on reject.
 
 On top of the throughput win the population buys parallel tempering's
 quality gains: chains occupy the rungs of a temperature ladder
@@ -83,9 +77,9 @@ class PopulationAnnealer(SearchStrategy):
         ``chains=1`` it *is* plain adaptive SA.
     engine:
         Per-chain evaluation engine kind (every chain gets its own
-        engine over one shared compile pass).  ``"array"`` routes each
-        round through the fused K-lane kernel pass; the scalar engines
-        fall back per chain, bit-identically.
+        engine over one shared compile pass; the stateful engines keep
+        each chain's delta state between rounds).  Every engine walks
+        the identical trajectory.
 
     Architecture-exploration moves (``p_zero`` / catalog) are not
     supported: the K chains share one ``Architecture`` object, which

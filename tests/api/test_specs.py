@@ -1,5 +1,6 @@
 """Spec-layer tests: golden round trips, defaulting, loud rejection."""
 
+import dataclasses
 import json
 import os
 
@@ -266,7 +267,8 @@ class TestLoadRequest:
 
 
 class TestEngineOptions:
-    """EngineSpec.options: the array engine's tuning knobs."""
+    """EngineSpec.options: the retired array-engine tuning knobs still
+    validate (so stored specs load) and change nothing."""
 
     def test_dispatch_modes_accepted(self):
         for mode in ("auto", "kernel", "scalar"):
@@ -288,3 +290,21 @@ class TestEngineOptions:
     def test_unknown_option_rejected(self):
         with pytest.raises(ConfigurationError, match="turbo"):
             EngineSpec("array", {"turbo": True}).validate()
+
+    def test_retired_options_warn_they_have_no_effect(self):
+        with pytest.warns(DeprecationWarning, match="no effect"):
+            EngineSpec("array", {"dispatch": "scalar"}).validate()
+
+    def test_retired_option_changes_no_result(self):
+        """The stored tempering fixture carries ``kernel_batch_min_work``;
+        dropping the option gives the same best cost and evaluations."""
+        from repro.api.facade import explore
+
+        request = load_request(os.path.join(FIXTURES, "tempering_array.json"))
+        assert request.engine.options == {"kernel_batch_min_work": 2000}
+        plain = dataclasses.replace(request, engine=EngineSpec("array"))
+        with_option, without = (
+            explore(r).results[0] for r in (request, plain)
+        )
+        assert with_option["best_cost"] == without["best_cost"]
+        assert with_option["evaluations"] == without["evaluations"]

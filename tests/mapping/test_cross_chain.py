@@ -1,9 +1,9 @@
 """Cross-chain evaluator and engine-option plumbing.
 
 Covers the pieces the population annealer stands on: compiled-instance
-forking, the ``kernel_batch_min_work`` engine option (constructor,
-spec-dict form, rejection cases, fork propagation) and the
-batched-vs-fallback parity of ``CrossChainEvaluator.evaluate_moves``.
+forking, the spec-dict engine form (retired options accepted, anything
+else rejected), ``CrossChainEvaluator.evaluate_moves`` parity across
+engines and the commit-on-accept transactions.
 """
 
 import copy
@@ -36,7 +36,7 @@ class TestCompiledFork:
         assert fork.dep_src is compiled.dep_src
         assert fork.sw_ms is compiled.sw_ms
         assert fork.pred_ids is compiled.pred_ids
-        assert fork._np_cache is compiled._np_cache
+        assert fork._cache is compiled._cache
 
     def test_fork_isolates_virtual_node_growth(self, small_app, small_arch):
         compiled = compile_instance(small_app, _bus(small_arch))
@@ -49,30 +49,18 @@ class TestCompiledFork:
 
 
 class TestKernelBatchMinWorkOption:
-    def test_constructor_option_wins_over_class_default(
+    """The retired array-engine knobs stay accepted (and ignored) in
+    the spec-dict form; anything else is still rejected."""
+
+    def test_retired_option_builds_engine(
         self, small_app, small_arch
     ):
-        engine = ArrayEngine(
-            small_app, small_arch, kernel_batch_min_work=123
-        )
-        assert engine.kernel_batch_min_work == 123
-        assert ArrayEngine.KERNEL_BATCH_MIN_WORK != 123
-
-    def test_default_falls_back_to_class_attribute(
-        self, small_app, small_arch
-    ):
-        engine = ArrayEngine(small_app, small_arch)
-        assert (
-            engine.kernel_batch_min_work == ArrayEngine.KERNEL_BATCH_MIN_WORK
-        )
-
-    def test_spec_dict_builds_configured_engine(self, small_app, small_arch):
-        engine = make_engine(
-            {"kind": "array", "kernel_batch_min_work": 77},
-            small_app, small_arch,
-        )
-        assert isinstance(engine, ArrayEngine)
-        assert engine.kernel_batch_min_work == 77
+        with pytest.warns(DeprecationWarning, match="no effect"):
+            engine = make_engine(
+                {"kind": "array", "kernel_batch_min_work": 77},
+                small_app, small_arch,
+            )
+        assert type(engine) is ArrayEngine
 
     def test_unknown_engine_option_rejected(self, small_app, small_arch):
         with pytest.raises(ConfigurationError, match="turbo_mode"):
@@ -86,17 +74,6 @@ class TestKernelBatchMinWorkOption:
                 {"kind": "incremental", "kernel_batch_min_work": 5},
                 small_app, small_arch,
             )
-
-    def test_forked_chain_engines_inherit_the_option(
-        self, small_app, small_arch
-    ):
-        evaluator = CrossChainEvaluator(
-            small_app, small_arch, 3,
-            engine={"kind": "array", "kernel_batch_min_work": 55},
-        )
-        assert [e.kernel_batch_min_work for e in evaluator.engines] == (
-            [55, 55, 55]
-        )
 
 
 class TestCrossChainEvaluator:
@@ -192,40 +169,8 @@ class TestCrossChainEvaluator:
 
 
 class TestDispatchResolution:
-    """The depth-aware dispatcher: explicit modes win, ``"auto"``
-    consults the compile pass's mean level width, non-array engines
-    always take the scalar path."""
-
-    def test_explicit_modes_win(self, small_app, small_arch):
-        for mode in ("kernel", "scalar"):
-            evaluator = CrossChainEvaluator(
-                small_app, small_arch, 2,
-                engine={"kind": "array", "dispatch": mode},
-            )
-            assert evaluator.dispatch == mode
-
-    def test_auto_routes_deep_graphs_to_scalar(self, small_app, small_arch):
-        # The diamond app is deep/narrow (mean level width well below
-        # the kernel threshold), so "auto" resolves to the persistent
-        # scalar path.
-        evaluator = CrossChainEvaluator(small_app, small_arch, 2)
-        compiled = evaluator.engines[0].compiled
-        assert compiled.mean_level_width < ArrayEngine.KERNEL_MIN_MEAN_WIDTH
-        assert evaluator.dispatch == "scalar"
-
-    def test_auto_routes_wide_graphs_to_kernel(
-        self, small_app, small_arch, monkeypatch
-    ):
-        monkeypatch.setattr(ArrayEngine, "KERNEL_MIN_MEAN_WIDTH", 0.0)
-        evaluator = CrossChainEvaluator(small_app, small_arch, 2)
-        assert evaluator.dispatch == "kernel"
-
-    def test_non_array_engines_are_scalar(self, small_app, small_arch):
-        for engine in ("full", "incremental"):
-            evaluator = CrossChainEvaluator(
-                small_app, small_arch, 2, engine=engine
-            )
-            assert evaluator.dispatch == "scalar"
+    """The retired ``dispatch`` option is still type-checked in the
+    spec-dict engine form."""
 
     def test_invalid_mode_rejected(self, small_app, small_arch):
         with pytest.raises(ConfigurationError, match="dispatch"):
@@ -236,7 +181,7 @@ class TestDispatchResolution:
 
 class TestPersistentTransactions:
     """The commit-on-accept path (``propose_moves`` + ``resolve``) is
-    bit-identical to the pure PR 6 flow (``evaluate_moves`` + undo +
+    bit-identical to the pure flow (``evaluate_moves`` + undo +
     re-apply on accept), across every engine, both resolve branches,
     and every move kind (m1/m2/m_impl/m_offload plus the m3/m4
     architecture moves)."""
@@ -411,35 +356,6 @@ class TestPersistentTransactions:
                 engine, small_app, small_arch
             ).evaluate(solutions[c]).makespan_ms
             assert evaluator.evaluate(c, solutions[c]).makespan_ms == fresh
-
-    def test_kernel_dispatch_reapplies_on_accept(
-        self, small_app, small_arch, monkeypatch
-    ):
-        # Forced kernel dispatch takes the pure evaluate_moves path;
-        # resolve must then apply accepted moves itself.
-        evaluator, solutions = self._population(
-            small_app, small_arch, {"kind": "array", "dispatch": "kernel"}
-        )
-        assert evaluator.dispatch == "kernel"
-        cost = MakespanCost()
-        moves = self._moves(small_app, solutions, seed=3)
-        before = [s.num_contexts() for s in solutions]
-        outcomes = evaluator.propose_moves(solutions, moves, cost)
-        assert not evaluator._pending_persistent
-        for c in range(self.CHAINS):
-            if outcomes[c] is None:
-                continue
-            evaluator.resolve(c, solutions[c], moves[c], True)
-        want = [
-            evaluator.evaluate(c, solutions[c]).makespan_ms
-            for c in range(self.CHAINS)
-        ]
-        fresh = [
-            make_engine("full", small_app, small_arch)
-            .evaluate(solutions[c]).makespan_ms
-            for c in range(self.CHAINS)
-        ]
-        assert want == fresh
 
     def test_propose_none_moves_open_no_transactions(
         self, small_app, small_arch

@@ -2,12 +2,13 @@
 reference.
 
 Replays hundreds of random accepted/rejected move sequences on random
-applications (plus the motion-detection benchmark) and asserts that
+applications (plus the motion-detection benchmark and the 120-task
+corpus scenario) and asserts that
 ``FullRebuildEngine``, ``IncrementalEngine`` and ``ArrayEngine`` agree
 pairwise on makespan, feasibility and communication totals at every
 step — including right after rejected moves are undone, which is
 exactly the state-reversal pattern the delta-patching engines must
-survive.  The array engine's batched path is covered separately by
+survive.  The batched path is covered separately by
 ``test_array_engine_batch_matches_scalar``.
 """
 
@@ -23,6 +24,7 @@ from repro.arch.asic import Asic
 from repro.arch.bus import Bus
 from repro.arch.processor import Processor
 from repro.arch.reconfigurable import ReconfigurableCircuit
+from repro.bench.corpus import get_scenario
 from repro.errors import ConfigurationError, InfeasibleMoveError
 from repro.mapping.engine import (
     ENGINES,
@@ -142,14 +144,42 @@ def test_engine_parity_on_motion_benchmark(engines):
     assert total >= 100
 
 
+@pytest.mark.parametrize("engines", ENGINE_PAIRS, ids=lambda p: "-vs-".join(p))
+def test_engine_parity_on_corpus_tgff120(engines):
+    """The 120-task corpus scenario: deep enough that the persistent
+    order is repaired and rebuilt many times along the walk."""
+    instance = get_scenario("tgff/120").build()
+    total = _replay(
+        instance.application, lambda: instance.architecture, seed=7,
+        steps=300, engines=engines,
+    )
+    assert total >= 300
+
+
+@pytest.mark.parametrize("engines", ENGINE_PAIRS, ids=lambda p: "-vs-".join(p))
+def test_engine_parity_edge_bus_policy_long_walk(engines):
+    """Under the ``"edge"`` bus policy a transfer is a pass-through edge
+    weight, so a move flipping a dependency's crossing state changes no
+    node duration; the walk must be long enough to hit such a flip
+    ahead of every other change the move makes."""
+    app = random_application(
+        GeneratorConfig(num_tasks=26, topology="tgff"), seed=7
+    )
+    total = _replay(
+        app, _dual_resource_arch, seed=707, steps=240, bus_policy="edge",
+        engines=engines,
+    )
+    assert total >= 240
+
+
 def test_array_engine_batch_matches_scalar():
-    """The batched kernel path scores candidates bit-identically to the
-    scalar engines, including infeasible application slots."""
+    """The batched path of the stateful engine scores candidates
+    bit-identically to the reference engine, including infeasible
+    application slots."""
     app = motion_detection_application()
     arch = epicure_architecture(2000)
     full = Evaluator(app, arch, engine="full")
     array = Evaluator(app, arch, engine="array")
-    array.engine.KERNEL_BATCH_MIN_WORK = 0  # force the kernel path
     rng = random.Random(17)
     solution = random_initial_solution(app, arch, rng)
     gen = MoveGenerator(app)

@@ -170,10 +170,9 @@ def trajectory(result):
 
 
 class TestDispatchBitIdentity:
-    """The depth-aware dispatcher changes throughput, never results:
-    every dispatch mode of the array engine — and every engine — walks
-    the identical trajectory for a fixed seed, including the persistent
-    commit-on-accept path vs the fused kernel path."""
+    """Every engine walks the identical trajectory for a fixed seed,
+    and the retired ``dispatch`` option of the ``array`` kind — still
+    accepted in stored specs — changes nothing."""
 
     def test_all_dispatch_modes_and_engines_agree(
         self, small_app, small_arch

@@ -2,9 +2,9 @@
 
 Every check starts a fresh interpreter, because the test process itself
 has long since imported everything.  The package surface is lazy
-(PEP 562), so ``import repro`` loads no layer, and a seeded single-SA
-explore never touches NumPy or the service, bench, experiment, analysis
-and baseline layers.
+(PEP 562), so ``import repro`` loads no layer, and a seeded explore —
+single SA or 8-chain tempering — never touches NumPy or the service,
+bench, experiment, analysis and baseline layers.
 """
 
 import json
@@ -15,8 +15,11 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 QUICK_SPEC = os.path.join(ROOT, "examples", "specs", "motion_quick.json")
+TEMPERING_SPEC = os.path.join(
+    ROOT, "examples", "specs", "tempering_quick.json"
+)
 
-#: Layers a seeded single-SA explore must not load.
+#: Layers a seeded explore must not load.
 EXPLORE_FORBIDDEN = (
     "numpy", "repro.service", "repro.bench", "repro.experiments",
     "repro.analysis", "repro.baselines",
@@ -53,20 +56,42 @@ def test_import_repro_loads_no_numpy(tmp_path):
     assert loaded(modules, "repro") == ["repro", "repro._lazy", "repro.errors"]
 
 
-def test_explore_loads_only_what_it_runs(tmp_path):
-    code = (
+def explore_code(spec: str, prelude: str = "") -> str:
+    """A ``repro explore --spec SPEC --json`` run that must exit 0."""
+    return (
         "import runpy, sys\n"
-        "sys.argv = ['repro', 'explore', '--spec', "
-        f"{QUICK_SPEC!r}, '--json']\n"
+        + prelude
+        + "sys.argv = ['repro', 'explore', '--spec', "
+        f"{spec!r}, '--json']\n"
         "try:\n"
         "    runpy.run_module('repro', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"
         "    assert exc.code == 0, exc.code\n"
     )
-    modules = modules_after(code, tmp_path)
+
+
+def assert_explore_loads_only_what_it_runs(spec: str, tmp_path) -> None:
+    modules = modules_after(explore_code(spec), tmp_path)
     assert "repro.search.runner" in modules  # the explore did run
     for layer in EXPLORE_FORBIDDEN:
         assert loaded(modules, layer) == [], layer
+
+
+def test_explore_loads_only_what_it_runs(tmp_path):
+    assert_explore_loads_only_what_it_runs(QUICK_SPEC, tmp_path)
+
+
+def test_tempering_explore_loads_only_what_it_runs(tmp_path):
+    """The 8-chain tempering spec on the ``array`` engine kind."""
+    assert_explore_loads_only_what_it_runs(TEMPERING_SPEC, tmp_path)
+
+
+def test_tempering_explore_runs_with_numpy_blocked(tmp_path):
+    modules = modules_after(
+        explore_code(TEMPERING_SPEC, "sys.modules['numpy'] = None\n"),
+        tmp_path,
+    )
+    assert "repro.sa.population" in modules  # the tempering run did run
 
 
 def test_bench_registry_is_filled_in_a_fresh_interpreter(tmp_path):
