@@ -72,6 +72,36 @@ def _require_mapping(value: Any, what: str) -> Mapping[str, Any]:
     return value
 
 
+def _require_str(value: Any, what: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigurationError(
+            f"{what} must be a string, got {type(value).__name__}"
+        )
+    return value
+
+
+def _require_int(value: Any, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _require_number(value: Any, what: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigurationError(f"{what} must be a number, got {value!r}")
+    return value
+
+
+def _as_tuple(value: Any, what: str) -> Tuple[Any, ...]:
+    """A JSON array field as a tuple (a string, object or scalar is a
+    malformed document, not a sequence of characters or keys)."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigurationError(
+            f"{what} must be a JSON array, got {type(value).__name__}"
+        )
+    return tuple(value)
+
+
 def _json_clean(value: Any, what: str) -> Any:
     """Round ``value`` through JSON so specs only ever hold plain data
     (rejects callables, sets, custom objects with a pointed message)."""
@@ -157,6 +187,7 @@ class ApplicationSpec(_SpecBase):
         if self.kind == "builtin":
             from repro.api.resolve import BUILTIN_APPLICATIONS
 
+            _require_str(self.name, "ApplicationSpec.name")
             if self.name not in BUILTIN_APPLICATIONS:
                 raise ConfigurationError(
                     f"unknown builtin application {self.name!r}; "
@@ -209,12 +240,13 @@ class ArchitectureSpec(_SpecBase):
         if self.kind == "builtin":
             from repro.api.resolve import BUILTIN_ARCHITECTURES
 
+            _require_str(self.name, "ArchitectureSpec.name")
             if self.name not in BUILTIN_ARCHITECTURES:
                 raise ConfigurationError(
                     f"unknown builtin architecture {self.name!r}; "
                     f"known: {sorted(BUILTIN_ARCHITECTURES)}"
                 )
-            if self.n_clbs < 1:
+            if _require_int(self.n_clbs, "ArchitectureSpec.n_clbs") < 1:
                 raise ConfigurationError("architecture n_clbs must be >= 1")
             _require_mapping(self.options, "ArchitectureSpec.options")
         elif (self.path is None) == (self.document is None):
@@ -260,12 +292,14 @@ class StrategySpec(_SpecBase):
     _OMIT_WHEN_NONE = frozenset({"initial_solution"})
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "catalog", tuple(self.catalog))
+        object.__setattr__(
+            self, "catalog", _as_tuple(self.catalog, "StrategySpec.catalog")
+        )
 
     def validate(self) -> None:
         from repro.search.runner import KNOWN_OPTIONS, STRATEGY_KINDS
 
-        if self.kind not in STRATEGY_KINDS:
+        if _require_str(self.kind, "StrategySpec.kind") not in STRATEGY_KINDS:
             raise ConfigurationError(
                 f"unknown strategy kind {self.kind!r}; "
                 f"known: {sorted(STRATEGY_KINDS)}"
@@ -353,6 +387,12 @@ class BudgetSpec(_SpecBase):
     _OMIT_WHEN_NONE = frozenset({"anytime"})
 
     def validate(self) -> None:
+        for name in ("iterations", "warmup_iterations", "stall_limit"):
+            value = getattr(self, name)
+            if value is not None:
+                _require_int(value, f"budget {name}")
+        if self.time_limit_s is not None:
+            _require_number(self.time_limit_s, "budget time_limit_s")
         if self.iterations is not None and self.iterations < 1:
             raise ConfigurationError("budget iterations must be >= 1")
         if self.warmup_iterations is not None and self.warmup_iterations < 0:
@@ -493,10 +533,15 @@ class ExplorationRequest(_SpecBase):
 
     def __post_init__(self) -> None:
         if self.seeds is not None:
-            object.__setattr__(self, "seeds", tuple(self.seeds))
-        object.__setattr__(self, "sizes", tuple(self.sizes))
+            object.__setattr__(
+                self, "seeds", _as_tuple(self.seeds, "request seeds")
+            )
         object.__setattr__(
-            self, "portfolio_kinds", tuple(self.portfolio_kinds)
+            self, "sizes", _as_tuple(self.sizes, "request sizes")
+        )
+        object.__setattr__(
+            self, "portfolio_kinds",
+            _as_tuple(self.portfolio_kinds, "request portfolio_kinds"),
         )
 
     # ------------------------------------------------------------------
@@ -512,8 +557,14 @@ class ExplorationRequest(_SpecBase):
         self.strategy.validate()
         self.budget.validate()
         self.engine.validate()
-        if self.runs < 1:
+        if _require_int(self.runs, "request runs") < 1:
             raise ConfigurationError("request runs must be >= 1")
+        for seed in self.seeds or ():
+            _require_int(seed, "request seeds entry")
+        for size in self.sizes:
+            _require_int(size, "request sizes entry")
+        for strategy_kind in self.portfolio_kinds:
+            _require_str(strategy_kind, "request portfolio_kinds entry")
         if self.seeds is not None:
             if self.kind != "batch":
                 raise ConfigurationError(
@@ -572,8 +623,9 @@ class ExplorationRequest(_SpecBase):
                 f"'portfolio_kinds' only applies to portfolio requests, "
                 f"not {self.kind!r}"
             )
-        if self.deadline_ms is not None and self.deadline_ms <= 0:
-            raise ConfigurationError("deadline_ms must be > 0")
+        if self.deadline_ms is not None:
+            if _require_number(self.deadline_ms, "request deadline_ms") <= 0:
+                raise ConfigurationError("deadline_ms must be > 0")
         if (
             self.strategy.initial_solution is not None
             and self.kind not in ("single", "batch")

@@ -29,9 +29,7 @@ __all__ = [
     "topological_order",
     "longest_path_length",
     "earliest_start_times",
-    "earliest_starts_indexed",
     "kahn_order_indices",
-    "makespan_from_starts",
     "critical_path",
 ]
 
@@ -41,7 +39,6 @@ lazy_exports(globals(), {
     "repro.graph.maxplus": ("MaxPlusClosure", "NEG_INF"),
     "repro.graph.longest_path": (
         "topological_order", "longest_path_length", "earliest_start_times",
-        "earliest_starts_indexed", "kahn_order_indices",
-        "makespan_from_starts", "critical_path",
+        "kahn_order_indices", "critical_path",
     ),
 })

@@ -9,20 +9,16 @@ The functions operate directly on :class:`~repro.graph.dag.Dag`
 adjacency (no copies), with node weights read from a callable so the
 mapping layer can plug in assignment-dependent execution times.
 
-Two families live here:
-
-* the :class:`Dag`-based functions (``earliest_start_times``,
-  ``longest_path_length``, ``critical_path``, ``bottom_levels``) used by
-  analysis, scheduling and the full-rebuild evaluation engine;
-* generic array-backed kernels (``kahn_order_indices``,
-  ``earliest_starts_indexed``, ``makespan_from_starts``) operating on
-  dense integer node ids and flat edge arrays, equivalents of the
-  ``Dag`` functions without tuple-key hashing
-  (``tests/graph/test_array_kernels.py`` proves the equivalence).
-  :class:`repro.mapping.engine.IncrementalEngine` computes its base
-  topological order through ``kahn_order_indices`` and inlines
-  further-specialized DP variants that exploit its fixed node-id
-  layout.
+The :class:`Dag`-based functions (``earliest_start_times``,
+``longest_path_length``, ``critical_path``, ``bottom_levels``) serve
+analysis, scheduling and the full-rebuild evaluation engine.  One
+array-backed kernel sits beside them: ``kahn_order_indices``, Kahn's
+algorithm over dense integer node ids and flat successor lists, which
+reproduces ``Dag.topological_order`` without tuple-key hashing
+(``tests/graph/test_array_kernels.py`` proves the equivalence).
+:class:`repro.mapping.engine.IncrementalEngine` computes its base
+topological order with it and inlines its own longest-path DP over its
+fixed node-id layout.
 """
 
 from __future__ import annotations
@@ -157,7 +153,7 @@ def critical_path(
 
 
 # ----------------------------------------------------------------------
-# array-backed kernels (dense integer node ids, flat edge arrays)
+# array-backed kernel (dense integer node ids, flat successor lists)
 # ----------------------------------------------------------------------
 def kahn_order_indices(
     num_nodes: int,
@@ -210,92 +206,6 @@ def kahn_order_indices(
             cycle=[keys[v] for v in stuck] if keys is not None else stuck,
         )
     return order
-
-
-def earliest_starts_indexed(
-    order: Sequence[int],
-    pred_edges: Sequence[Sequence[int]],
-    edge_src: Sequence[int],
-    edge_weight: Sequence[float],
-    durations: Sequence[float],
-    starts: Optional[List[float]] = None,
-    chain_pred: Optional[Sequence[int]] = None,
-    pred_pairs2: Optional[Sequence[Sequence[Tuple[int, float]]]] = None,
-    finish: Optional[List[float]] = None,
-) -> List[float]:
-    """ASAP start times over flat arrays.
-
-    ``pred_edges[v]`` holds *edge ids*; edge ``ei`` runs from
-    ``edge_src[ei]`` to ``v`` with weight ``edge_weight[ei]``.  Node
-    durations are charged on the source side exactly like
-    :func:`earliest_start_times` (``start[u] + dur[u] + w``), so the two
-    DPs produce bit-identical floats on identical graphs (the maximum
-    over an identical candidate set does not depend on iteration order).
-    ``pred_pairs2`` overlays a second edge layer in ``(src, weight)``
-    pair form; ``chain_pred`` optionally adds one zero-weight
-    predecessor per node (a serialization chain), ``-1`` meaning none.
-    ``starts`` may be a preallocated buffer of length >= num nodes;
-    ``finish``, when given, receives ``starts[v] + durations[v]`` per
-    node so the caller can reduce the makespan with a C-level ``max``.
-    """
-    if starts is None:
-        starts = [0.0] * len(pred_edges)
-    if finish is None:
-        for v in order:
-            best = 0.0
-            for ei in pred_edges[v]:
-                u = edge_src[ei]
-                candidate = starts[u] + durations[u] + edge_weight[ei]
-                if candidate > best:
-                    best = candidate
-            if pred_pairs2 is not None:
-                for u, w in pred_pairs2[v]:
-                    candidate = starts[u] + durations[u] + w
-                    if candidate > best:
-                        best = candidate
-            if chain_pred is not None:
-                u = chain_pred[v]
-                if u >= 0:
-                    candidate = starts[u] + durations[u]
-                    if candidate > best:
-                        best = candidate
-            starts[v] = best
-        return starts
-    # Finish-folding variant: each candidate reads the predecessor's
-    # precomputed finish time ((start + dur) + w associates exactly like
-    # start + dur + w, so the floats are unchanged).
-    for v in order:
-        best = 0.0
-        for ei in pred_edges[v]:
-            candidate = finish[edge_src[ei]] + edge_weight[ei]
-            if candidate > best:
-                best = candidate
-        if pred_pairs2 is not None:
-            for u, w in pred_pairs2[v]:
-                candidate = finish[u] + w
-                if candidate > best:
-                    best = candidate
-        if chain_pred is not None:
-            u = chain_pred[v]
-            if u >= 0:
-                candidate = finish[u]
-                if candidate > best:
-                    best = candidate
-        starts[v] = best
-        finish[v] = best + durations[v]
-    return starts
-
-
-def makespan_from_starts(
-    starts: Sequence[float], durations: Sequence[float], num_nodes: int
-) -> float:
-    """Max finish time over the first ``num_nodes`` ids (0.0 if none)."""
-    best = 0.0
-    for v in range(num_nodes):
-        finish = starts[v] + durations[v]
-        if finish > best:
-            best = finish
-    return best
 
 
 def bottom_levels(

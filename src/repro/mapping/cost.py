@@ -22,13 +22,6 @@ from repro.mapping.solution import Solution
 class CostFunction(ABC):
     """Maps (solution, evaluation) to the scalar the annealer minimizes."""
 
-    #: True when the cost reads only the :class:`Evaluation` (never the
-    #: solution object).  Evaluation-pure costs can be computed after a
-    #: candidate move has been undone, which is what lets the batched
-    #: evaluation path (``EvaluationEngine.evaluate_batch``) score K
-    #: candidates in one vectorized call.
-    solution_independent = False
-
     @abstractmethod
     def __call__(self, solution: Solution, evaluation: Evaluation) -> float:
         ...
@@ -36,8 +29,6 @@ class CostFunction(ABC):
 
 class MakespanCost(CostFunction):
     """Execution time only (the paper's fixed-architecture objective)."""
-
-    solution_independent = True
 
     def __call__(self, solution: Solution, evaluation: Evaluation) -> float:
         return evaluation.makespan_ms

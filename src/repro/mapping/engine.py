@@ -171,9 +171,9 @@ class EvaluationEngine(ABC):
         ``cost_function(candidate_solution, evaluation)`` computed while
         the move is applied (``None`` when no cost function is given).
 
-        Results are bit-identical across engines and across batch
-        compositions: each candidate is scored independently against the
-        same base state.
+        Results are bit-identical across engines, and each candidate is
+        scored independently against the same base state, so a move's
+        result does not depend on the other moves in the call.
         """
         results: List[Optional[Tuple[Evaluation, Optional[float]]]] = []
         for move in moves:
@@ -205,9 +205,10 @@ class EvaluationEngine(ABC):
     ) -> Optional[Tuple[Evaluation, Optional[float]]]:
         """Apply ``move``, score the candidate, and leave it **applied**.
 
-        The persistent-delta counterpart of one ``evaluate_batch`` slot:
-        the move is applied, the engine delta-syncs to the candidate and
-        scores it, and control returns with the move still in force.
+        The persistent-delta counterpart of scoring one move with
+        :meth:`evaluate_batch`: the move is applied, the engine
+        delta-syncs to the candidate and scores it, and control returns
+        with the move still in force.
         The caller must finish the transaction with exactly one of
         :meth:`accept_move` (keep the candidate — the engine state is
         already synced, no undo/re-apply/re-diff anywhere) or
@@ -217,7 +218,7 @@ class EvaluationEngine(ABC):
         Returns ``None`` when the move's application raises
         :class:`InfeasibleMoveError` — the move was never applied and
         there is no transaction to resolve.  ``cost`` is computed while
-        the move is applied, exactly like the reference batch loop.
+        the move is applied, exactly like :meth:`evaluate_batch`.
         Results are bit-identical to ``evaluate_batch([move])`` followed
         by a re-apply: moves replay their cached decisions, and every
         engine's evaluation is a pure function of the candidate state.

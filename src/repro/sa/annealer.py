@@ -32,7 +32,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
-import time
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -58,22 +57,6 @@ def default_warmup(iterations: int) -> int:
     return max(0, min(1200, iterations // 4))
 
 
-def _stream_seed(base: int, iteration: int) -> int:
-    """SplitMix64-style mix of ``(base, iteration)`` into a 64-bit seed.
-
-    Batched annealing gives every iteration index its own private RNG
-    stream so that speculative candidates discarded after an acceptance
-    can be re-proposed deterministically — the resulting trajectory is
-    independent of the batch size.  The mix is pure integer arithmetic:
-    stable across processes, platforms and ``PYTHONHASHSEED``.
-    """
-    mask = 0xFFFFFFFFFFFFFFFF
-    z = (base + 0x9E3779B97F4A7C15 * iteration) & mask
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-    return (z ^ (z >> 31)) & mask
-
-
 @dataclass
 class AnnealerConfig:
     """Knobs of one annealing run.
@@ -81,18 +64,6 @@ class AnnealerConfig:
     ``iterations`` counts every move draw (including infeasible ones),
     matching the x-axis of the paper's Fig. 2.  ``keep_trace`` disables
     per-iteration records for the 100-run sweeps of Fig. 3.
-
-    ``batch_size`` opts into *batched neighborhood evaluation*: K
-    candidate moves are proposed from the current state and scored
-    through ``evaluator.evaluate_batch`` in one call, then processed
-    sequentially
-    under the Metropolis rule; an acceptance discards the not-yet-
-    processed candidates, whose iterations are simply re-proposed from
-    the new state.  To keep that re-proposal deterministic, batched mode
-    derives one private RNG stream per iteration index from the seed —
-    so the trajectory is **identical for every batch_size >= 1** but
-    differs from the historical sequential RNG discipline.  The default
-    ``None`` keeps the historical loop bit-for-bit.
     """
 
     iterations: int = 5000
@@ -102,10 +73,6 @@ class AnnealerConfig:
     #: Stop early when the best cost has not improved for this many
     #: iterations after cooling started (None = run the full budget).
     stall_limit: Optional[int] = None
-    #: Candidates per batched-evaluation call (None = historical
-    #: sequential loop; any value >= 1 switches to the batch-invariant
-    #: per-iteration RNG discipline).
-    batch_size: Optional[int] = None
 
     def validate(self) -> None:
         if self.iterations < 1:
@@ -116,8 +83,6 @@ class AnnealerConfig:
             )
         if self.stall_limit is not None and self.stall_limit < 1:
             raise ConfigurationError("stall_limit must be >= 1 or None")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1 or None")
 
     def with_budget(self, budget: Optional[SearchBudget]) -> "AnnealerConfig":
         """A copy with the budget's limits folded in (warmup clamped so
@@ -197,11 +162,6 @@ class SimulatedAnnealing(SearchStrategy):
         """
         config = self.config.with_budget(budget)
         config.validate()
-        if config.batch_size is not None:
-            yield from self._iterate_batched(
-                initial_solution, config, budget, on_step
-            )
-            return
         rng = random.Random(config.seed)
         solution = initial_solution
         tele = self.telemetry
@@ -294,143 +254,6 @@ class SimulatedAnnealing(SearchStrategy):
 
             if tracker.exhausted():
                 break
-
-        tracker.record_engine(self.evaluator)
-        tracker.finish(
-            evaluations=self.evaluator.evaluations - evaluations_before,
-        )
-
-    def _iterate_batched(
-        self,
-        initial_solution: Solution,
-        config: AnnealerConfig,
-        budget: Optional[SearchBudget],
-        on_step: Optional[StepCallback],
-    ) -> Iterator[SearchResult]:
-        """Batched neighborhood evaluation (``config.batch_size`` set).
-
-        Per round, up to K candidate moves are proposed from the current
-        state and scored through ``evaluator.evaluate_batch``, then
-        processed sequentially under the Metropolis rule.  The first acceptance
-        invalidates the not-yet-processed candidates (they were scored
-        against the pre-acceptance state): they are discarded and their
-        iteration indices re-proposed from the new state.  Each
-        iteration index owns a private seed-derived RNG stream, so the
-        re-proposal — and therefore the whole trajectory — is identical
-        for every batch size (``tests/sa/test_batched.py`` pins this).
-        ``result.evaluations`` *does* grow with the batch size: scoring
-        candidates that an earlier acceptance then discards is the price
-        of speculation.
-        """
-        rng_master = random.Random(config.seed)
-        stream_base = rng_master.getrandbits(64)
-        solution = initial_solution
-        tele = self.telemetry
-        evaluations_before = self.evaluator.evaluations
-        with tele.phase("init"):
-            evaluation = self.evaluator.evaluate(solution)
-            current_cost = self.cost_function(solution, evaluation)
-        if not math.isfinite(current_cost):
-            raise ConfigurationError("initial solution must be feasible")
-
-        stats = MoveStats()
-        tracker = SearchTracker(
-            self.name,
-            budget=SearchBudget(
-                iterations=config.iterations,
-                time_limit_s=budget.time_limit_s if budget is not None else None,
-                stall_limit=config.stall_limit,
-            ),
-            seed=config.seed,
-            on_step=on_step,
-            keep_history=config.keep_trace,
-            telemetry=tele,
-        )
-        result = tracker.result
-        result.move_stats = stats
-        tracker.begin(current_cost, solution)
-
-        warmup_costs = [current_cost]
-        cooling = False
-        width = max(1, config.batch_size)
-        iteration = 0
-        stop = False
-        while not stop and iteration < config.iterations:
-            slots = []
-            with tele.phase("propose"):
-                for k in range(min(width, config.iterations - iteration)):
-                    slot_rng = random.Random(
-                        _stream_seed(stream_base, iteration + 1 + k)
-                    )
-                    move = None
-                    move_name = "none"
-                    try:
-                        move = self.move_generator.propose(solution, slot_rng)
-                        move_name = move.name
-                    except InfeasibleMoveError:
-                        move = None
-                    slots.append((iteration + 1 + k, move, move_name, slot_rng))
-            with tele.phase("evaluate"):
-                outcomes = iter(self.evaluator.evaluate_batch(
-                    solution,
-                    [m for _it, m, _name, _rng in slots if m is not None],
-                    self.cost_function,
-                ))
-            for it, move, move_name, slot_rng in slots:
-                iteration = it
-                if not cooling and it > config.warmup_iterations:
-                    self.schedule.begin(warmup_costs)
-                    cooling = True
-                outcome = None if move is None else next(outcomes)
-                if move is not None:
-                    stats.record_proposed(move_name)
-                if outcome is None:
-                    # Infeasible draw or infeasible realization: counts
-                    # an iteration, carries no thermal information.
-                    stats.record_infeasible(move_name)
-                    tracker.observe(
-                        it, current_cost, solution,
-                        accepted=False, move_name=move_name,
-                        stall_eligible=False,
-                    )
-                    self._record_trace(tracker, config, it, current_cost,
-                                       result.best_cost, solution, False,
-                                       move_name, cooling)
-                    yield result
-                    if tracker.exhausted():
-                        stop = True
-                        break
-                    continue
-                evaluation, new_cost = outcome
-                accepted = self._metropolis(
-                    current_cost, new_cost, cooling, slot_rng
-                )
-                if accepted:
-                    # The candidate was undone inside evaluate_batch;
-                    # re-apply it (moves replay their cached decisions).
-                    move.apply(solution)
-                    current_cost = new_cost
-                    stats.record_accepted(move_name)
-                else:
-                    stats.record_rejected(move_name)
-                tracker.observe(
-                    it, current_cost, solution,
-                    accepted=accepted, move_name=move_name,
-                    stall_eligible=cooling,
-                )
-                if not cooling:
-                    warmup_costs.append(current_cost)
-                else:
-                    self.schedule.record(current_cost, accepted)
-                self._record_trace(tracker, config, it, current_cost,
-                                   result.best_cost, solution, accepted,
-                                   move_name, cooling)
-                yield result
-                if tracker.exhausted():
-                    stop = True
-                    break
-                if accepted:
-                    break  # discard speculative candidates, re-propose
 
         tracker.record_engine(self.evaluator)
         tracker.finish(

@@ -10,7 +10,7 @@ schedule, and the iteration trace (Fig. 2's data).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from repro.arch.architecture import Architecture
@@ -72,15 +72,11 @@ class DesignSpaceExplorer(SearchStrategy):
     bus_policy:
         ``"ordered"`` (transaction serialization, default) or ``"edge"``.
     engine:
-        Evaluation engine: ``"full"`` (reference rebuild-per-candidate),
-        ``"incremental"`` (delta-patching fast path) or ``"array"``
-        (compiled struct-of-arrays engine with a persistent longest-path
-        DP; fastest).  Same makespans bit-for-bit either way.  See
-        :mod:`repro.mapping.engine`.
-    batch_size:
-        Opt-in batched neighborhood evaluation (see
-        :class:`~repro.sa.annealer.AnnealerConfig`); ``None`` keeps the
-        historical sequential loop.
+        Evaluation engine: ``"full"`` (reference rebuild-per-candidate)
+        or ``"incremental"`` (delta evaluation over a persistent
+        topological order and longest-path DP; the fast path).
+        ``"array"`` is an alias of ``"incremental"``.  Same makespans
+        bit-for-bit either way.  See :mod:`repro.mapping.engine`.
     """
 
     name = "sa"
@@ -103,7 +99,6 @@ class DesignSpaceExplorer(SearchStrategy):
         stall_limit: Optional[int] = None,
         initial_hw_fraction: Optional[float] = None,
         engine: str = "full",
-        batch_size: Optional[int] = None,
     ) -> None:
         application.validate()
         architecture.validate()
@@ -127,7 +122,6 @@ class DesignSpaceExplorer(SearchStrategy):
             seed=seed,
             keep_trace=keep_trace,
             stall_limit=stall_limit,
-            batch_size=batch_size,
         )
         self.annealer = SimulatedAnnealing(
             evaluator=self.evaluator,

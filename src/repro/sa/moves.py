@@ -481,8 +481,8 @@ class RemoveResourceMove(Move):
             self._removed = None
             # Resource enumeration order is observable (proposal draws
             # iterate it): put the restored resource back where it was,
-            # so apply + undo is side-effect-free — speculative batched
-            # evaluation relies on that.
+            # so apply + undo is side-effect-free — a rejected move and
+            # every tabu candidate probed then undone rely on that.
             if self._arch_order is not None:
                 solution.architecture.restore_resource_order(self._arch_order)
         super().undo(solution)
@@ -493,14 +493,13 @@ class CreateResourceMove(Move):
 
     The new resource's name is drawn from the move's own RNG on first
     realization and cached, so apply/undo/apply replays the exact same
-    mutation (tabu and the batched annealer rely on that) and a
-    rejected or speculatively-evaluated creation leaves **no trace** in
-    the architecture — unlike a shared counter, whose advance by
-    discarded candidates would make trajectories depend on the batch
-    size.  Names stay unique across a run (different moves draw
-    different tokens), which the delta-patching engines' caches assume.
-    Without an RNG the move falls back to the architecture's
-    counter-based ``fresh_name``.
+    mutation (tabu re-applies its winning candidate after probing it)
+    and a rejected creation leaves **no trace** in the architecture —
+    unlike a shared counter, whose advance by rejected or probed
+    candidates would leak into every later name.  Names stay unique
+    across a run (different moves draw different tokens), which the
+    delta-patching engines' caches assume.  Without an RNG the move
+    falls back to the architecture's counter-based ``fresh_name``.
     """
 
     name = "m4_create_resource"

@@ -26,7 +26,7 @@ Determinism contract (pinned by ``tests/sa/test_population.py``):
 * Any fixed ``(seed, chains, ladder)`` is reproducible across runs,
   engines, ``PYTHONHASHSEED`` values and ``jobs=N`` worker fan-out:
   every random draw derives from the seed through per-chain
-  splitmix-keyed streams (:func:`repro.sa.annealer._stream_seed`), and
+  splitmix-keyed streams (:func:`_stream_seed`), and
   exchange rounds own private streams of the same family.
 """
 
@@ -41,7 +41,7 @@ from repro.errors import ConfigurationError, InfeasibleMoveError
 from repro.mapping.cost import CostFunction, MakespanCost
 from repro.mapping.engine import CrossChainEvaluator
 from repro.mapping.solution import Solution, random_initial_solution
-from repro.sa.annealer import AnnealerConfig, _stream_seed
+from repro.sa.annealer import AnnealerConfig
 from repro.sa.moves import MoveGenerator, MoveStats
 from repro.sa.schedules import make_schedule
 from repro.sa.trace import TraceRecord
@@ -52,6 +52,23 @@ from repro.search.strategy import (
     SearchTracker,
     StepCallback,
 )
+
+
+def _stream_seed(base: int, index: int) -> int:
+    """SplitMix64-style mix of ``(base, index)`` into a 64-bit seed.
+
+    Chain ``c > 0`` draws its initial solution and its annealing RNG
+    from stream ``c`` of a seed-derived base, and replica-exchange round
+    ``r`` draws its swap decisions from stream ``r`` of another, so no
+    chain's draws depend on how many chains share the population.  The
+    mix is pure integer arithmetic: stable across processes, platforms
+    and ``PYTHONHASHSEED``.
+    """
+    mask = 0xFFFFFFFFFFFFFFFF
+    z = (base + 0x9E3779B97F4A7C15 * index) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return (z ^ (z >> 31)) & mask
 
 
 class PopulationAnnealer(SearchStrategy):

@@ -19,9 +19,19 @@ from repro.api.specs import (
 from repro.errors import ConfigurationError
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+QUICK_SPEC = os.path.join(
+    os.path.dirname(__file__), "..", "..", "examples", "specs",
+    "motion_quick.json",
+)
 GOLDEN = sorted(
     name for name in os.listdir(FIXTURES) if name.endswith(".json")
 )
+
+
+def quick_spec_document():
+    """A fresh copy of the example single-run spec, as parsed JSON."""
+    with open(QUICK_SPEC) as handle:
+        return json.load(handle)
 
 
 class TestGoldenFixtures:
@@ -175,6 +185,15 @@ class TestStrategySpec:
         with pytest.raises(ConfigurationError, match="catalog resource"):
             StrategySpec("sa", catalog=({"kind": "gpu"},)).validate()
 
+    def test_retired_batch_size_option_rejected(self):
+        """The annealer's batched mode is gone; it ran a different
+        trajectory, so a stored spec that asks for it must fail, not
+        silently run the sequential loop."""
+        doc = quick_spec_document()
+        doc["strategy"]["options"]["batch_size"] = 4
+        with pytest.raises(ConfigurationError, match="batch_size"):
+            ExplorationRequest.from_dict(doc)
+
 
 class TestKindValidation:
     def test_unknown_request_kind(self):
@@ -252,6 +271,58 @@ class TestKindValidation:
             BudgetSpec(time_limit_s=0.0).validate()
         with pytest.raises(ConfigurationError):
             BudgetSpec(stall_limit=0).validate()
+
+
+#: (dotted path into motion_quick.json, wrongly typed value, expected
+#: field name in the error message).
+MALFORMED_FIELDS = [
+    ("application.name", [], "ApplicationSpec.name"),
+    ("architecture.name", [], "ArchitectureSpec.name"),
+    ("strategy.kind", [], "StrategySpec.kind"),
+    ("architecture.n_clbs", None, "n_clbs"),
+    ("runs", None, "runs"),
+    ("budget.iterations", "x", "iterations"),
+    ("budget.warmup_iterations", "x", "warmup_iterations"),
+    ("budget.time_limit_s", "x", "time_limit_s"),
+    ("budget.stall_limit", "x", "stall_limit"),
+    ("deadline_ms", "x", "deadline_ms"),
+    ("strategy.catalog", None, "catalog"),
+    ("sizes", None, "sizes"),
+    ("portfolio_kinds", None, "portfolio_kinds"),
+    ("seeds", 1, "seeds"),
+]
+
+
+class TestMalformedFieldTypes:
+    """A wrongly typed field is a typed ConfigurationError naming the
+    field, never a stray TypeError from a comparison or a hash."""
+
+    @pytest.mark.parametrize(
+        "path, value, field_name", MALFORMED_FIELDS,
+        ids=[path for path, _value, _name in MALFORMED_FIELDS],
+    )
+    def test_wrong_type_is_configuration_error(self, path, value, field_name):
+        doc = quick_spec_document()
+        *parents, key = path.split(".")
+        node = doc
+        for name in parents:
+            node = node[name]
+        node[key] = value
+        with pytest.raises(ConfigurationError, match=field_name):
+            request = ExplorationRequest.from_dict(doc)
+            request.validate()
+            request.content_hash()
+
+    @pytest.mark.parametrize("kind, field_name, value", [
+        ("batch", "seeds", [1, "x"]),
+        ("sweep", "sizes", [400, "x"]),
+        ("portfolio", "portfolio_kinds", ["sa", []]),
+    ])
+    def test_wrong_entry_type_is_configuration_error(
+        self, kind, field_name, value
+    ):
+        with pytest.raises(ConfigurationError, match=f"{field_name} entry"):
+            ExplorationRequest(kind=kind, **{field_name: value}).validate()
 
 
 class TestLoadRequest:

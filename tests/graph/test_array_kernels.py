@@ -1,11 +1,10 @@
-"""Array-backed DP kernels are bit-identical to the Dag-based functions.
+"""The array-backed Kahn kernel is bit-identical to ``Dag.topological_order``.
 
-The kernels (``kahn_order_indices``, ``earliest_starts_indexed``,
-``makespan_from_starts``) operate on dense ids and flat edge arrays;
-this property test interns random layered DAGs and checks that they
-reproduce ``Dag.topological_order`` / ``earliest_start_times`` /
-``longest_path_length`` exactly — including the two-layer overlay,
-serialization-chain predecessors, and the finish-folding variant.
+``kahn_order_indices`` operates on dense ids and flat successor lists;
+this property test interns random layered DAGs and checks that it
+reproduces ``Dag.topological_order`` exactly — including the
+second-layer overlay and serialization-chain successors the
+incremental engine feeds it.
 """
 
 from __future__ import annotations
@@ -15,109 +14,78 @@ import random
 import pytest
 
 from repro.errors import CycleError
-from repro.graph.dag import Dag, NodeInterner
+from repro.graph.dag import NodeInterner
 from repro.graph.generators import layered
-from repro.graph.longest_path import (
-    earliest_start_times,
-    earliest_starts_indexed,
-    kahn_order_indices,
-    longest_path_length,
-    makespan_from_starts,
-)
+from repro.graph.longest_path import kahn_order_indices
 
 
-def _interned(dag, rng):
+def _interned(dag):
     """Flatten a Dag into the kernel representation."""
     interner = NodeInterner(dag.nodes())
     n = len(interner)
-    durations = [rng.uniform(0.0, 4.0) for _ in range(n)]
-    e_src, e_w = [], []
-    pred_edges = [[] for _ in range(n)]
     succ = [[] for _ in range(n)]
     indeg = [0] * n
-    for a, b, w in dag.edges():
+    for a, b, _w in dag.edges():
         ia, ib = interner.id_of(a), interner.id_of(b)
-        ei = len(e_src)
-        e_src.append(ia)
-        e_w.append(w)
-        pred_edges[ib].append(ei)
         succ[ia].append(ib)
         indeg[ib] += 1
-    return interner, n, durations, e_src, e_w, pred_edges, succ, indeg
+    return interner, n, succ, indeg
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_kernels_match_dag_functions(seed):
-    rng = random.Random(seed)
     dag = layered(4 + seed % 3, 4, edge_probability=0.5, seed=seed)
-    interner, n, dur, e_src, e_w, pred_edges, succ, indeg = _interned(dag, rng)
+    interner, n, succ, indeg = _interned(dag)
+    indeg_before = list(indeg)
 
     order = kahn_order_indices(n, indeg, succ, interner.keys())
     assert sorted(order) == list(range(n))
     assert [interner.key_of(v) for v in order] == dag.topological_order()
-
-    weight = {interner.key_of(i): dur[i] for i in range(n)}
-    expected = earliest_start_times(dag, lambda node: weight[node])
-    starts = earliest_starts_indexed(order, pred_edges, e_src, e_w, dur)
-    for node, value in expected.items():
-        assert starts[interner.id_of(node)] == value
-
-    expected_len = longest_path_length(dag, lambda node: weight[node])
-    assert makespan_from_starts(starts, dur, n) == expected_len
-
-    # Finish-folding variant produces the same floats.
-    finish = [0.0] * n
-    starts2 = earliest_starts_indexed(
-        order, pred_edges, e_src, e_w, dur, [0.0] * n, None, None, finish
-    )
-    assert starts2 == starts
-    assert max(finish) == expected_len
+    assert indeg == indeg_before  # the caller's array is not consumed
 
 
 def test_kernel_second_layer_and_chain_match_merged_graph():
     """Splitting edges across the overlay/chain inputs is equivalent to
-    one merged graph evaluated by the Dag functions."""
+    one merged graph ordered by the Dag function."""
     rng = random.Random(11)
     base = layered(4, 3, edge_probability=0.5, seed=2)
-    interner, n, dur, e_src, e_w, pred_edges, succ, indeg = _interned(base, rng)
+    interner, n, succ, indeg = _interned(base)
 
     merged = base.copy()
-    # Second layer: a few extra weighted edges consistent with the order.
+    # Second layer: a few extra edges consistent with the base order.
     order = kahn_order_indices(n, indeg, succ, interner.keys())
     pos = [0] * n
     for idx, v in enumerate(order):
         pos[v] = idx
-    pred_pairs2 = [[] for _ in range(n)]
+    succ2 = [[] for _ in range(n)]
+    indeg_all = list(indeg)
     added = 0
     for a in range(n):
         for b in range(n):
             if a != b and pos[a] < pos[b] and added < 5:
                 ka, kb = interner.key_of(a), interner.key_of(b)
                 if not merged.has_edge(ka, kb):
-                    w = rng.uniform(0.1, 2.0)
-                    merged.add_edge(ka, kb, w)
-                    pred_pairs2[b].append((a, w))
+                    merged.add_edge(ka, kb, rng.uniform(0.1, 2.0))
+                    succ2[a].append(b)
+                    indeg_all[b] += 1
                     added += 1
     # Chain: zero-weight path over three order-consecutive nodes.
-    chain_pred = [-1] * n
+    chain_next = [-1] * n
     chain_nodes = order[1:4]
     for u, v in zip(chain_nodes, chain_nodes[1:]):
         if not merged.has_edge(interner.key_of(u), interner.key_of(v)):
             merged.add_edge(interner.key_of(u), interner.key_of(v), 0.0)
-            chain_pred[v] = u
+            chain_next[u] = v
+            indeg_all[v] += 1
 
-    weight = {interner.key_of(i): dur[i] for i in range(n)}
-    merged_order = merged.topological_order()
-    expected = earliest_start_times(
-        merged, lambda node: weight[node], merged_order
+    assert added and max(chain_next) >= 0
+
+    overlay_order = kahn_order_indices(
+        n, indeg_all, succ, interner.keys(), succ2, chain_next
     )
-    kernel_order = [interner.id_of(node) for node in merged_order]
-    starts = earliest_starts_indexed(
-        kernel_order, pred_edges, e_src, e_w, dur, None, chain_pred,
-        pred_pairs2,
+    assert [interner.key_of(v) for v in overlay_order] == (
+        merged.topological_order()
     )
-    for node, value in expected.items():
-        assert starts[interner.id_of(node)] == value
 
 
 def test_kahn_kernel_reports_cycles():

@@ -41,3 +41,29 @@ def test_seeded_explorer_best_makespan_is_pinned(engine):
 
 def test_seeded_explorer_is_repeatable():
     assert _run("full") == _run("full")
+
+def _trajectory(engine: str) -> tuple:
+    result = DesignSpaceExplorer(
+        motion_detection_application(),
+        epicure_architecture(n_clbs=2000),
+        iterations=300,
+        warmup_iterations=80,
+        seed=11,
+        engine=engine,
+    ).search()
+    return (
+        result.best_cost,
+        result.final_cost,
+        result.iterations_run,
+        tuple(result.history),
+        tuple(
+            (r.iteration, r.current_cost, r.accepted, r.move_name)
+            for r in result.trace
+        ),
+    )
+
+
+def test_annealing_trajectory_is_engine_invariant():
+    """The whole seeded trajectory — not just the best makespan — is
+    the same on the incremental engine and on its ``"array"`` alias."""
+    assert _trajectory("array") == _trajectory("incremental")

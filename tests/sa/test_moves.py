@@ -295,9 +295,8 @@ class TestArchitectureMoves:
     ):
         """apply + undo must be side-effect-free on *observable*
         architecture state: the resource enumeration order (m3 re-adds
-        the removed resource) and the fresh-name counter (m4).
-        Speculative batched evaluation relies on this for its
-        batch-size-invariant trajectories."""
+        the removed resource) and the fresh-name counter (m4).  The
+        reject path and tabu's probe-then-undo loop rely on this."""
         small_arch.add_resource(Processor("cpu2"))
         s = Solution(small_app, small_arch)
         for t in (0, 1, 2, 5):
