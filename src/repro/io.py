@@ -41,7 +41,8 @@ from repro.model.task import Implementation, Task
 FORMAT_VERSION = 1
 
 
-def _check_version(data: Dict[str, Any], kind: str) -> None:
+def _check_version(data: Any, kind: str) -> None:
+    _object(data, f"{kind} document")
     if data.get("format") != kind:
         raise ConfigurationError(
             f"expected a {kind!r} document, got {data.get('format')!r}"
@@ -50,6 +51,54 @@ def _check_version(data: Dict[str, Any], kind: str) -> None:
         raise ConfigurationError(
             f"unsupported {kind} format version {data.get('version')!r}"
         )
+
+
+# A malformed document must fail with a ConfigurationError naming the
+# document and field, never with a stray KeyError/TypeError from deep
+# inside a constructor.  The loaders build optimistically (every
+# request's resolve parses its instance, so the happy path stays free
+# of per-field checks) and, when building fails on a malformed value,
+# run the ``_diagnose_*`` pass to name the offending field.
+_REQUIRED = object()
+
+
+def _object(value: Any, where: str) -> Dict[str, Any]:
+    if not isinstance(value, dict):
+        raise ConfigurationError(
+            f"{where} must be a JSON object, got {type(value).__name__}"
+        )
+    return value
+
+
+def _field(data: Dict[str, Any], key: str, where: str,
+           default: Any = _REQUIRED) -> Any:
+    value = data.get(key, default)
+    if value is _REQUIRED:
+        raise ConfigurationError(f"{where} is missing field {key!r}")
+    return value
+
+
+def _list(data: Dict[str, Any], key: str, where: str) -> List[Any]:
+    value = _field(data, key, where)
+    if not isinstance(value, list):
+        raise ConfigurationError(
+            f"{where} field {key!r} must be a list, got {type(value).__name__}"
+        )
+    return value
+
+
+def _number(data: Dict[str, Any], key: str, where: str,
+            default: Any = _REQUIRED) -> Any:
+    value = _field(data, key, where, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(
+            f"{where} field {key!r} must be a number, got {value!r}"
+        )
+    return value
+
+
+#: What a loader converts into a ConfigurationError after diagnosis.
+_MALFORMED = (KeyError, TypeError, AttributeError, ValueError)
 
 
 # ----------------------------------------------------------------------
@@ -82,27 +131,57 @@ def application_to_dict(application: Application) -> Dict[str, Any]:
 
 def application_from_dict(data: Dict[str, Any]) -> Application:
     _check_version(data, "application")
-    app = Application(data["name"])
-    for entry in data["tasks"]:
-        app.add_task(
-            Task(
-                index=entry["index"],
-                name=entry["name"],
-                functionality=entry["functionality"],
-                sw_time_ms=entry["sw_time_ms"],
-                implementations=tuple(
-                    Implementation(
-                        clbs=i["clbs"], time_ms=i["time_ms"],
-                        name=i.get("name", ""),
-                    )
-                    for i in entry["implementations"]
-                ),
+    try:
+        app = Application(data["name"])
+        for entry in data["tasks"]:
+            app.add_task(
+                Task(
+                    index=entry["index"],
+                    name=entry["name"],
+                    functionality=entry["functionality"],
+                    sw_time_ms=entry["sw_time_ms"],
+                    implementations=tuple(
+                        Implementation(
+                            clbs=i["clbs"], time_ms=i["time_ms"],
+                            name=i.get("name", ""),
+                        )
+                        for i in entry["implementations"]
+                    ),
+                )
             )
-        )
-    for edge in data["dependencies"]:
-        app.add_dependency(edge["src"], edge["dst"], edge["data_kbytes"])
+        for edge in data["dependencies"]:
+            app.add_dependency(edge["src"], edge["dst"], edge["data_kbytes"])
+    except _MALFORMED as exc:
+        _diagnose_application(data)
+        raise ConfigurationError(
+            f"malformed application document: {exc!r}"
+        ) from exc
     app.validate()
     return app
+
+
+def _diagnose_application(data: Dict[str, Any]) -> None:
+    """Raise a ConfigurationError naming the first malformed field."""
+    _field(data, "name", "application document")
+    for k, entry in enumerate(_list(data, "tasks", "application document")):
+        where = f"application task #{k}"
+        _object(entry, where)
+        _number(entry, "index", where)
+        _field(entry, "name", where)
+        _field(entry, "functionality", where)
+        _number(entry, "sw_time_ms", where)
+        for m, impl in enumerate(_list(entry, "implementations", where)):
+            impl_where = f"{where} implementation #{m}"
+            _object(impl, impl_where)
+            _number(impl, "clbs", impl_where)
+            _number(impl, "time_ms", impl_where)
+    for k, edge in enumerate(
+        _list(data, "dependencies", "application document")
+    ):
+        where = f"application dependency #{k}"
+        _object(edge, where)
+        for key in ("src", "dst", "data_kbytes"):
+            _number(edge, key, where)
 
 
 def dump_application(application: Application, indent: int = 2) -> str:
@@ -153,41 +232,74 @@ def architecture_to_dict(architecture: Architecture) -> Dict[str, Any]:
 
 def architecture_from_dict(data: Dict[str, Any]) -> Architecture:
     _check_version(data, "architecture")
-    bus = Bus(
-        name=data["bus"]["name"],
-        rate_kbytes_per_ms=data["bus"]["rate_kbytes_per_ms"],
-        latency_ms=data["bus"].get("latency_ms", 0.0),
-    )
-    arch = Architecture(data["name"], bus=bus)
-    for entry in data["resources"]:
-        kind = entry["kind"]
-        if kind == "processor":
-            arch.add_resource(
-                Processor(
-                    entry["name"],
-                    speed_factor=entry.get("speed_factor", 1.0),
-                    monetary_cost=entry.get("monetary_cost", 0.0),
+    try:
+        bus = Bus(
+            name=data["bus"]["name"],
+            rate_kbytes_per_ms=data["bus"]["rate_kbytes_per_ms"],
+            latency_ms=data["bus"].get("latency_ms", 0.0),
+        )
+        arch = Architecture(data["name"], bus=bus)
+        for entry in data["resources"]:
+            kind = entry["kind"]
+            if kind == "processor":
+                arch.add_resource(
+                    Processor(
+                        entry["name"],
+                        speed_factor=entry.get("speed_factor", 1.0),
+                        monetary_cost=entry.get("monetary_cost", 0.0),
+                    )
                 )
-            )
-        elif kind == "reconfigurable":
-            arch.add_resource(
-                ReconfigurableCircuit(
-                    entry["name"],
-                    n_clbs=entry["n_clbs"],
-                    reconfig_ms_per_clb=entry["reconfig_ms_per_clb"],
-                    monetary_cost=entry.get("monetary_cost", 0.0),
-                    partial_reconfiguration=entry.get(
-                        "partial_reconfiguration", True
-                    ),
+            elif kind == "reconfigurable":
+                arch.add_resource(
+                    ReconfigurableCircuit(
+                        entry["name"],
+                        n_clbs=entry["n_clbs"],
+                        reconfig_ms_per_clb=entry["reconfig_ms_per_clb"],
+                        monetary_cost=entry.get("monetary_cost", 0.0),
+                        partial_reconfiguration=entry.get(
+                            "partial_reconfiguration", True
+                        ),
+                    )
                 )
-            )
-        elif kind == "asic":
-            arch.add_resource(
-                Asic(entry["name"], monetary_cost=entry.get("monetary_cost", 0.0))
-            )
-        else:
-            raise ConfigurationError(f"unknown resource kind {kind!r}")
+            elif kind == "asic":
+                arch.add_resource(
+                    Asic(
+                        entry["name"],
+                        monetary_cost=entry.get("monetary_cost", 0.0),
+                    )
+                )
+            else:
+                raise ConfigurationError(f"unknown resource kind {kind!r}")
+    except _MALFORMED as exc:
+        _diagnose_architecture(data)
+        raise ConfigurationError(
+            f"malformed architecture document: {exc!r}"
+        ) from exc
     return arch
+
+
+def _diagnose_architecture(data: Dict[str, Any]) -> None:
+    """Raise a ConfigurationError naming the first malformed field."""
+    where = "architecture bus"
+    bus = _object(_field(data, "bus", "architecture document"), where)
+    _field(bus, "name", where)
+    _number(bus, "rate_kbytes_per_ms", where)
+    _number(bus, "latency_ms", where, 0.0)
+    _field(data, "name", "architecture document")
+    for k, entry in enumerate(
+        _list(data, "resources", "architecture document")
+    ):
+        where = f"architecture resource #{k}"
+        _object(entry, where)
+        _field(entry, "kind", where)
+        if not isinstance(_field(entry, "name", where), str):
+            raise ConfigurationError(f"{where} field 'name' must be a string")
+        _number(entry, "monetary_cost", where, 0.0)
+        if entry["kind"] == "processor":
+            _number(entry, "speed_factor", where, 1.0)
+        elif entry["kind"] == "reconfigurable":
+            _number(entry, "n_clbs", where)
+            _number(entry, "reconfig_ms_per_clb", where)
 
 
 def dump_architecture(architecture: Architecture, indent: int = 2) -> str:
@@ -232,12 +344,18 @@ def instance_to_dict(instance: ProblemInstance) -> Dict[str, Any]:
 
 def instance_from_dict(data: Dict[str, Any]) -> ProblemInstance:
     _check_version(data, "instance")
+    where = "instance document"
+    deadline = data.get("deadline_ms")
+    if deadline is not None:
+        _number(data, "deadline_ms", where)
     return ProblemInstance(
-        application=application_from_dict(data["application"]),
-        architecture=architecture_from_dict(data["architecture"]),
-        deadline_ms=data.get("deadline_ms"),
+        application=application_from_dict(_field(data, "application", where)),
+        architecture=architecture_from_dict(
+            _field(data, "architecture", where)
+        ),
+        deadline_ms=deadline,
         name=data.get("name", ""),
-        metadata=dict(data.get("metadata", {})),
+        metadata=dict(_object(data.get("metadata", {}), "instance metadata")),
     )
 
 

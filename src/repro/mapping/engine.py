@@ -38,9 +38,8 @@ the ``throughput/*`` bench cases measure the gap.
 
 from __future__ import annotations
 
-import heapq
 import math
-from itertools import compress, count
+from itertools import chain, compress, count
 from operator import ne
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -351,25 +350,31 @@ class IncrementalEngine(EvaluationEngine):
       always contradicts a cached order, and re-running Kahn's sort for
       it would be the single largest cost on 120+-task instances.  The
       engine instead *repairs* the one persistent order in place
-      (Pearce/Kelly-style region reordering per contradicting edge,
-      verified in O(E) after multi-edge repairs) and only falls back to
-      Kahn when a repair detects a potential cycle or too many edges
-      contradict at once.  Every order the engine ever evaluates with is
-      a verified topological order, so cyclic realizations are detected
-      exactly like the reference engine — no fixpoint iteration
-      anywhere.  A cycle witness (one concrete cycle of the last failed
-      sort) answers churny walks through infeasible regions without a
-      re-sort.
-    * **Persistent base DP with suffix recomputation.**  The
-      unserialized ASAP start/finish values survive across evaluations;
-      the sync's exact structural deltas plus a shadow diff of the
+      (Pearce/Kelly-style region reordering per contradicting edge)
+      and only falls back to Kahn when a repair detects a potential
+      cycle or too many edges contradict at once.  The order honours
+      the bus chain as well as the base layers: base edges are
+      repaired first, ignoring the chain (so base cycle verdicts stay
+      exact), then chain links the relink or the base repair left
+      contradicted; a failed chain repair sorts the chained graph with
+      Kahn and adopts that order.  Every order the engine ever
+      evaluates with is a topological order of what it evaluates, so
+      cyclic realizations are detected exactly like the reference
+      engine — no fixpoint iteration anywhere.  A cycle witness (one
+      concrete cycle of the last failed sort) answers churny walks
+      through infeasible regions without a re-sort.
+    * **Persistent DPs with suffix recomputation.**  The unserialized
+      ASAP start/finish values survive across evaluations; the sync's
+      exact structural deltas plus a shadow diff of the
       duration/weight lists locate the earliest order position a move
       could have affected, and the plain DP loop re-runs only from
       there.  Values before that position are provably unchanged, and
       recomputed nodes take the max over the identical candidate set
       the full DP would — so makespans stay bit-identical.  The
-      serialized bus overlay runs on separate copy buffers, leaving the
-      persistent base values untouched.
+      serialized (bus-chained) values are kept the same way in their
+      own buffers: the chain is relinked only when the bus order
+      changes, and the serialized DP re-runs from the earliest base
+      seed or comm node whose chain predecessor changed.
 
     Per-RC reconfiguration statistics for the Fig. 3 decomposition are
     cached alongside.
@@ -442,6 +447,14 @@ class IncrementalEngine(EvaluationEngine):
         self._deps_of_task = compiled.deps_of_task
         ndeps = compiled.ndeps
         self._ndeps = ndeps
+        # Comm ids ranked by the bus tie-break ``(source task, destination
+        # task, dep)``: a stable sort of an active subset on the base
+        # start alone then yields the reference ``(start, src, dst)`` order.
+        srct, dstt = compiled.dep_srct, compiled.dep_dstt
+        self._comm_tie_rank = [
+            self._dep_comm[j]
+            for j in sorted(range(ndeps), key=lambda j: (srct[j], dstt[j], j))
+        ]
 
         # Static dependency layer: dep j is permanently wired
         # ``src -> comm -> dst`` where comm is the dense id ``ntasks +
@@ -521,8 +534,9 @@ class IncrementalEngine(EvaluationEngine):
         self._rc_stats: Dict[str, Tuple[int, float, float, int]] = {}
         self._hw_count = 0
         self._dep_mode: List[int] = [-1] * self._ndeps
-        self._active_deps: List[int] = []
-        self._active_dirty = True
+        #: Active transfers as comm ids in tie-break rank order.
+        self._active_ranked: List[int] = []
+        self._active_stale = True
         # Sequentialization layer: maintained edge by edge as resources
         # change.  ``pred_seq[v]`` holds ``(src, weight)`` pairs; the
         # combined indegrees are kept in step so Kahn never needs a
@@ -534,14 +548,13 @@ class IncrementalEngine(EvaluationEngine):
             self._proc_prev[v] = -1
             self._proc_next[v] = -1
         self._proc_members: Dict[str, List[int]] = {}
-        #: The persistent base topological order as an ``[order,
-        #: position, valid]`` entry.  It stays valid until an *added*
-        #: edge contradicts its positions (checked in O(1) per added
-        #: edge); removals never invalidate.
+        #: The persistent topological order as an ``[order, position,
+        #: valid]`` entry.  It orders the base layers *and* the live bus
+        #: chain, so one order serves both DPs.  It stays valid until an
+        #: *added* base edge contradicts its positions (checked in O(1)
+        #: per added edge); removals never invalidate.  Chain links are
+        #: checked after each relink.
         self._order0: Optional[List] = None
-        #: Positions of the current persistent order (aliases the live
-        #: entry's position array once one exists).
-        self._pos0: List[int] = [0] * n
         #: Added edges that contradict the persistent order (repaired
         #: or folded into the next rebuild).
         self._pending_edges: List[Tuple[int, int]] = []
@@ -553,26 +566,33 @@ class IncrementalEngine(EvaluationEngine):
         #: Base (unserialized) DP values, persistent across evaluations.
         self._starts0: List[float] = [0.0] * n
         self._finish0: List[float] = [0.0] * n
-        #: Serialized overlay buffers (base values + bus chain).
+        #: Serialized DP values (base layers + bus chain), persistent too.
         self._starts1: List[float] = [0.0] * n
         self._finish1: List[float] = [0.0] * n
         #: Whether the persistent base DP values are trustworthy.
         self._values_valid = False
+        #: Whether the serialized values belong to the realization the
+        #: base values were last computed for.
+        self._serial_valid = False
         #: Node ids whose inputs changed since the last evaluation
         #: (structural deltas here, duration/weight changes by shadow
         #: diff).
         self._dirty_seeds: set = set()
         self._dur_shadow: List[float] = [0.0] * n
         self._cw_shadow: List[float] = [0.0] * self._ndeps
-        self._dirty: List[bool] = [False] * n
-        self._chain_perm: Optional[List[int]] = None
+        #: The bus chain: active comm ids in bus order, as links, and its
+        #: summed transfer time.
+        self._chain_perm: List[int] = []
         self._chain_pred: List[int] = [-1] * n
         self._chain_next: List[int] = [-1] * n
+        self._chain_comm_ms = 0.0
         # Telemetry counters for the order machinery (plain ints, reset
         # together with the order state they describe).
         self.stat_cycle_witness_hits = 0
         self.stat_order_repairs = 0
         self.stat_order_rebuilds = 0
+        self.stat_chain_repairs = 0
+        self.stat_chain_rebuilds = 0
 
     def _classify_resources(self, arch: Architecture) -> None:
         """(Re)build the resource kind table.  Entries are kept for
@@ -616,6 +636,8 @@ class IncrementalEngine(EvaluationEngine):
             cycle_witness_hits=self.stat_cycle_witness_hits,
             order_repairs=self.stat_order_repairs,
             order_rebuilds=self.stat_order_rebuilds,
+            chain_repairs=self.stat_chain_repairs,
+            chain_rebuilds=self.stat_chain_rebuilds,
         )
         return out
 
@@ -802,7 +824,7 @@ class IncrementalEngine(EvaluationEngine):
             self._dur[comm_id] = 0.0
         if mode != self._dep_mode[j]:
             self._dep_mode[j] = mode
-            self._active_dirty = True
+            self._active_stale = True
 
     def _refresh_rc(
         self,
@@ -1162,14 +1184,12 @@ class IncrementalEngine(EvaluationEngine):
                 self._indeg_total.append(0)
                 self._proc_prev.append(-1)
                 self._proc_next.append(-1)
-                self._dirty.append(False)
                 self._chain_pred.append(-1)
                 self._chain_next.append(-1)
                 self._starts0.append(0.0)
                 self._finish0.append(0.0)
                 self._starts1.append(0.0)
                 self._finish1.append(0.0)
-                self._pos0.append(0)
             # The persistent order and values do not cover the new
             # nodes yet.
             self._order0 = None
@@ -1202,7 +1222,7 @@ class IncrementalEngine(EvaluationEngine):
                 return False
         return True
 
-    def _collect_dirty(self, stable: bool) -> set:
+    def _collect_seeds(self, stable: bool) -> set:
         """Fold the duration/weight shadow diffs into the structural
         seed set and refresh the shadows.  ``stable`` short-circuits the
         diff when the pre-sync check proved nothing can have changed."""
@@ -1237,21 +1257,19 @@ class IncrementalEngine(EvaluationEngine):
     ) -> Tuple[float, bool, float, Optional[CycleError]]:
         stable = self._durations_stable(solution)
         self._sync(solution)
-        if self._active_dirty:
+        if self._active_stale:
             dep_mode = self._dep_mode
-            self._active_deps = [
-                j for j in range(self._ndeps) if dep_mode[j] == 1
+            lo = self._ntasks
+            self._active_ranked = [
+                c for c in self._comm_tie_rank if dep_mode[c - lo] == 1
             ]
-            self._active_dirty = False
+            self._active_stale = False
         n = len(self._interner)
-        dur = self._dur
-        dep_comm = self._dep_comm
-        seeds = self._collect_dirty(stable)
+        seeds = self._collect_seeds(stable)
 
         # --- cached cycle verdict (no removals since it was reached) ---
         if self._cycle0 is not None:
-            comm_ms = sum(dur[dep_comm[j]] for j in self._active_deps)
-            return INFEASIBLE_MS, False, comm_ms, self._cycle0
+            return INFEASIBLE_MS, False, self._active_comm_ms(), self._cycle0
 
         # --- persistent order: revalidate, repair, else rebuild --------
         entry = self._order0
@@ -1285,10 +1303,7 @@ class IncrementalEngine(EvaluationEngine):
                         "realization contains a cycle",
                         cycle=[keys[b], keys[a]],
                     )
-                    comm_ms = sum(
-                        dur[dep_comm[j]] for j in self._active_deps
-                    )
-                    return INFEASIBLE_MS, False, comm_ms, exc
+                    return INFEASIBLE_MS, False, self._active_comm_ms(), exc
                 else:
                     entry = None
             else:
@@ -1308,10 +1323,7 @@ class IncrementalEngine(EvaluationEngine):
                         "realization contains a cycle",
                         cycle=[keys[u] for u, _v in witness],
                     )
-                    comm_ms = sum(
-                        dur[dep_comm[j]] for j in self._active_deps
-                    )
-                    return INFEASIBLE_MS, False, comm_ms, exc
+                    return INFEASIBLE_MS, False, self._active_comm_ms(), exc
                 self._cycle_witness = None
             self.stat_order_rebuilds += 1
             try:
@@ -1319,18 +1331,13 @@ class IncrementalEngine(EvaluationEngine):
             except CycleError as exc:
                 self._cycle0 = exc
                 self._cycle_witness = self._find_cycle()
-                comm_ms = sum(dur[dep_comm[j]] for j in self._active_deps)
-                return INFEASIBLE_MS, False, comm_ms, exc
-            pos = [0] * n
-            for idx, v in enumerate(order):
-                pos[v] = idx
-            self._order0 = entry = [order, pos, True]
+                return INFEASIBLE_MS, False, self._active_comm_ms(), exc
+            self._order0 = entry = self._order_entry(order)
             pending.clear()
             # Note: a rebuilt *order* does not invalidate the persistent
             # *values* — they depend on the graph, not on the order —
             # so the suffix DP below still applies.
-        order0 = entry[0]
-        self._pos0 = pos0 = entry[1]
+        order0, pos0 = entry[0], entry[1]
 
         # --- persistent base DP: full or suffix ------------------------
         if full_dp:
@@ -1338,60 +1345,98 @@ class IncrementalEngine(EvaluationEngine):
             self._values_valid = True
         elif seeds:
             self._dp_range(order0, min(pos0[v] for v in seeds))
-        seeds.clear()
 
-        finish0 = self._finish0
-        active = self._active_deps
+        active = self._active_ranked
         if not active:
-            return max(finish0), True, 0.0, None
+            seeds.clear()
+            self._serial_valid = False
+            return max(self._finish0), True, 0.0, None
 
         # Serialize bus transactions: ASAP order in the unserialized
         # graph, ties broken by (source task, destination task) — the
         # exact deterministic policy of SearchGraphBuilder._serialize_bus.
-        starts0 = self._starts0
-        srct = self._dep_srct
-        dstt = self._dep_dstt
-        ntasks = self._ntasks
-        keyed = sorted(
-            (starts0[ntasks + j], srct[j], dstt[j], j) for j in active
+        # ``active`` is already in tie-break order, so a stable sort on
+        # the base start alone yields exactly that order.
+        perm = sorted(active, key=self._starts0.__getitem__)
+        relinked = self._relink_chain(perm) if perm != self._chain_perm else ()
+        comm_ms = self._chain_comm_ms
+        # The persistent order must honour the chain links too: repair
+        # the ones a relink or a base repair left contradicted, else
+        # sort the chained graph from scratch and adopt that order.
+        broken = [
+            (a, b) for a, b in zip(perm, perm[1:]) if pos0[a] >= pos0[b]
+        ]
+        if broken:
+            if (
+                len(broken) <= self.MAX_REPAIR_EDGES
+                and self._repair(entry, broken, chained=True) is True
+            ):
+                self.stat_chain_repairs += 1
+            else:
+                self.stat_chain_rebuilds += 1
+                try:
+                    order = self._kahn_chained(n, perm)
+                except CycleError as exc:
+                    seeds.clear()
+                    self._serial_valid = False
+                    return INFEASIBLE_MS, False, comm_ms, exc
+                self._order0 = entry = self._order_entry(order)
+                order0, pos0 = entry[0], entry[1]
+
+        # --- persistent serialized DP: full or suffix ------------------
+        if full_dp or not self._serial_valid:
+            self._dp_serialized(order0, 0)
+            self._serial_valid = True
+        elif seeds or relinked:
+            self._dp_serialized(
+                order0, min(map(pos0.__getitem__, chain(seeds, relinked)))
+            )
+        seeds.clear()
+        return max(self._finish1), True, comm_ms, None
+
+    def _active_comm_ms(self) -> float:
+        """Summed transfer time of the active dependencies, in dependency
+        order (the infeasible evaluations' ``comm_ms``)."""
+        dur = self._dur
+        return sum(
+            dur[c] for c, mode in zip(self._dep_comm, self._dep_mode)
+            if mode == 1
         )
-        perm = [key[3] for key in keyed]
+
+    @staticmethod
+    def _order_entry(order: List[int]) -> List:
+        pos = [0] * len(order)
+        for idx, v in enumerate(order):
+            pos[v] = idx
+        return [order, pos, True]
+
+    def _relink_chain(self, perm: List[int]) -> List[int]:
+        """Replace the bus chain with ``perm`` (comm ids in bus order);
+        returns the comm nodes whose chain predecessor changed, nodes
+        that left the chain included — the serialized DP's chain
+        seeds."""
         chain_pred = self._chain_pred
         chain_next = self._chain_next
-        if perm != self._chain_perm:
-            if self._chain_perm:
-                for j in self._chain_perm:
-                    comm = dep_comm[j]
-                    chain_pred[comm] = -1
-                    chain_next[comm] = -1
-            prev = dep_comm[perm[0]]
-            for j in perm[1:]:
-                comm = dep_comm[j]
-                chain_pred[comm] = prev
-                chain_next[prev] = comm
-                prev = comm
-            self._chain_perm = perm
-        # The serialized values are the base values plus increase-only
-        # chain constraints, materialized into separate buffers so the
-        # persistent base values stay untouched.
-        starts1 = self._starts1
-        finish1 = self._finish1
-        starts1[:] = starts0
-        finish1[:] = finish0
-        if not self._chain_overlay(perm):
-            # Overlay propagation overran its budget: validate the
-            # serialized realization the reference way.
-            indeg1 = list(self._indeg_total)
-            for j in perm[1:]:
-                indeg1[dep_comm[j]] += 1
-            try:
-                order1 = self._kahn_chained(n, indeg1, chain_next)
-            except CycleError as exc:
-                comm_ms = sum(dur[dep_comm[j]] for j in perm)
-                return INFEASIBLE_MS, False, comm_ms, exc
-            self._dp_serialized(order1)
-        comm_ms = sum(dur[dep_comm[j]] for j in perm)
-        return max(finish1), True, comm_ms, None
+        old = self._chain_perm
+        for c in old:
+            chain_next[c] = -1
+        changed = []
+        prev = -1
+        for c in perm:
+            if chain_pred[c] != prev:
+                chain_pred[c] = prev
+                changed.append(c)
+            if prev >= 0:
+                chain_next[prev] = c
+            prev = c
+        for c in old:
+            u = chain_pred[c]
+            if u >= 0 and chain_next[u] != c:
+                chain_pred[c] = -1
+                changed.append(c)
+        self._chain_perm = perm
+        self._chain_comm_ms = sum(map(self._dur.__getitem__, perm))
+        return changed
 
     # ------------------------------------------------------------------
     # persistent order maintenance
@@ -1455,100 +1500,103 @@ class IncrementalEngine(EvaluationEngine):
                     stack.pop()
         return None
 
-    def _repair(self, entry: List, pending: List[Tuple[int, int]]):
+    def _repair(
+        self, entry: List, pending: List[Tuple[int, int]], chained: bool = False
+    ):
         """Repair the persistent order for the (live) contradicting
-        added edges — Pearce/Kelly region reordering, one edge at a
-        time.
+        edges — Pearce/Kelly region reordering, one edge at a time.
 
-        A single repaired edge is sound by the PK invariant (every other
-        live edge is position-consistent when the repair runs); after
-        multiple repairs the invariant cannot be assumed — the adjacency
-        already contains the later pending edges — so the final order is
-        re-verified against every live edge in O(E).  Returns ``True``
-        on success, ``"cycle"`` when a single-edge repair proves the
-        graph cyclic (exact under the invariant), or ``False`` when the
-        caller should fall back to Kahn (possible cycle among several
-        contradicting edges, or failed verification).
+        No region reordering breaks a followed edge that was already
+        consistent (see :meth:`_pk_insert`), so once every pending edge
+        is in place the order is valid without a verification pass.
+        Base repairs (``chained`` false) follow the
+        base layers only, so a single-edge verdict stays an exact base
+        cycle test; chain repairs also follow the bus chain.  Returns
+        ``True`` on success, ``"cycle"`` when a single-edge repair proves
+        the graph cyclic (exact under the invariant), or ``False`` when
+        the caller should fall back to Kahn (possible cycle among
+        several contradicting edges).
         """
         order, pos, _valid = entry
         repaired = 0
         for a, b in pending:
             if pos[a] < pos[b]:
                 continue  # an earlier repair already satisfied it
-            if not self._pk_insert(order, pos, a, b):
+            if not self._pk_insert(order, pos, a, b, chained):
                 if repaired == 0 and len(pending) == 1:
                     return "cycle"
                 return False
             repaired += 1
-        if repaired > 1 and not self._verify_order(pos):
-            return False
         return True
 
-    def _pk_insert(self, order: List[int], pos: List[int], a: int, b: int) -> bool:
+    def _pk_insert(
+        self, order: List[int], pos: List[int], a: int, b: int,
+        chained: bool = False,
+    ) -> bool:
         """Reorder the affected region for one edge ``a -> b`` with
-        ``pos[a] >= pos[b]``: forward-reachable nodes of ``b`` and
-        backward-reachable nodes of ``a`` (both within the region) are
-        remapped onto their own position pool, backward block first.
-        Returns False when the region search sees a cycle."""
+        ``pos[a] >= pos[b]``: nodes of the region ``[pos[b], pos[a]]``
+        forward-reachable from ``b`` and backward-reachable to ``a``
+        (both through the region) are remapped onto their own position
+        pool, backward block first.  Returns False when the region
+        search sees a cycle.
+
+        Both searches stay inside the region, so the pool does too, and
+        the forward block only moves later and the backward block only
+        earlier: any followed edge that was consistent before stays
+        consistent, whatever other edges still contradict the order.
+        ``chained`` also follows the bus chain links."""
         lower = pos[b]
         upper = pos[a]
         succ_static = self._succ_static
         succ_seq = self._succ_seq
         proc_next = self._proc_next
+        chain_next = self._chain_next
         forward = {b}
         stack = [b]
         while stack:
             x = stack.pop()
-            for y in succ_static[x]:
-                if pos[y] <= upper and y not in forward:
-                    if y == a:
-                        return False
-                    forward.add(y)
-                    stack.append(y)
-            for y in succ_seq[x]:
-                if pos[y] <= upper and y not in forward:
-                    if y == a:
-                        return False
-                    forward.add(y)
-                    stack.append(y)
+            nexts = succ_static[x] + succ_seq[x]
             y = proc_next[x]
-            if y >= 0 and pos[y] <= upper and y not in forward:
-                if y == a:
-                    return False
-                forward.add(y)
-                stack.append(y)
+            if y >= 0:
+                nexts.append(y)
+            if chained:
+                y = chain_next[x]
+                if y >= 0:
+                    nexts.append(y)
+            for y in nexts:
+                if lower <= pos[y] <= upper and y not in forward:
+                    if y == a:
+                        return False
+                    forward.add(y)
+                    stack.append(y)
         lo = self._ntasks
         hi = lo + self._ndeps
         comm_src = self._dep_src
         pred_comms = self._pred_comms
         pred_seq = self._pred_seq
         proc_prev = self._proc_prev
+        chain_pred = self._chain_pred
         backward = {a}
         stack = [a]
         while stack:
             x = stack.pop()
             if lo <= x < hi:
-                preds = (comm_src[x - lo],)
+                preds = [comm_src[x - lo]]
+                if chained:
+                    y = chain_pred[x]
+                    if y >= 0:
+                        preds.append(y)
             else:
-                preds = pred_comms[x]
+                preds = pred_comms[x] + [y for y, _w in pred_seq[x]]
+                y = proc_prev[x]
+                if y >= 0:
+                    preds.append(y)
             for y in preds:
-                if pos[y] >= lower and y not in backward:
+                if lower <= pos[y] <= upper and y not in backward:
                     if y == b:
                         return False
                     backward.add(y)
                     stack.append(y)
-            for y, _w in pred_seq[x]:
-                if pos[y] >= lower and y not in backward:
-                    if y == b:
-                        return False
-                    backward.add(y)
-                    stack.append(y)
-            y = proc_prev[x]
-            if y >= 0 and pos[y] >= lower and y not in backward:
-                if y == b:
-                    return False
-                backward.add(y)
-                stack.append(y)
         # Merge: the affected nodes keep their position pool; the
         # backward block (everything that must precede ``a``, including
         # ``a``) goes first, the forward block second, each in its
@@ -1559,24 +1607,6 @@ class IncrementalEngine(EvaluationEngine):
         for p, v in zip(pool, affected):
             pos[v] = p
             order[p] = v
-        return True
-
-    def _verify_order(self, pos: List[int]) -> bool:
-        """O(E) check that ``pos`` respects every live edge."""
-        succ_static = self._succ_static
-        succ_seq = self._succ_seq
-        proc_next = self._proc_next
-        for x in range(len(pos)):
-            px = pos[x]
-            for y in succ_static[x]:
-                if px >= pos[y]:
-                    return False
-            for y in succ_seq[x]:
-                if px >= pos[y]:
-                    return False
-            y = proc_next[x]
-            if y >= 0 and px >= pos[y]:
-                return False
         return True
 
     # ------------------------------------------------------------------
@@ -1599,8 +1629,7 @@ class IncrementalEngine(EvaluationEngine):
         dur = self._dur
         starts = self._starts0
         finish = self._finish0
-        for idx in range(start, len(order)):
-            v = order[idx]
+        for v in order[start:]:
             if lo <= v < hi:
                 j = v - lo
                 best = finish[comm_src[j]] + comm_w[j]
@@ -1624,112 +1653,14 @@ class IncrementalEngine(EvaluationEngine):
             starts[v] = best
             finish[v] = best + dur[v]
 
-    def _chain_overlay(self, perm: List[int]) -> bool:
-        """Increase-only propagation of the bus-chain constraints over
-        the serialized buffers.  Chain edges can only delay starts, so
-        nodes unaffected by a binding chain edge keep their base values
-        — which are exactly the serialized values (identical candidate
-        sets); the affected cone is processed in persistent-order
-        position.  Returns False when the pop budget trips — then the
-        caller re-validates with the chained Kahn."""
-        dep_comm = self._dep_comm
-        starts = self._starts1
-        finish = self._finish1
-        chain_pred = self._chain_pred
-        chain_next = self._chain_next
-        pos0 = self._pos0
-        dirty = self._dirty
-        # The heap holds bare positions: ``pos0`` is a bijection, so an
-        # int compares exactly like the old ``(pos, node)`` tuple (ties
-        # are impossible) while skipping the tuple allocation and the
-        # lexicographic compare on every push/pop — the overlay is the
-        # hottest loop of the persistent path.
-        order0 = self._order0[0]
-        heap: List[int] = []
-        push = heapq.heappush
-        prev = dep_comm[perm[0]]
-        for j in perm[1:]:
-            c = dep_comm[j]
-            if finish[prev] > starts[c] and not dirty[c]:
-                dirty[c] = True
-                heap.append(pos0[c])
-            prev = c
-        if not heap:
-            return True
-        heapq.heapify(heap)
-        lo = self._ntasks
-        hi = lo + self._ndeps
-        comm_src = self._dep_src
-        comm_w = self._comm_w
-        pred_comms = self._pred_comms
-        pred_seq = self._pred_seq
-        proc_prev = self._proc_prev
-        succ_static = self._succ_static
-        succ_seq = self._succ_seq
-        proc_next = self._proc_next
-        dur = self._dur
-        pop = heapq.heappop
-        budget = 2 * len(self._interner) + 64
-        pops = 0
-        while heap:
-            pops += 1
-            if pops > budget:
-                while heap:
-                    dirty[order0[pop(heap)]] = False
-                return False
-            v = order0[pop(heap)]
-            if not dirty[v]:
-                continue
-            dirty[v] = False
-            if lo <= v < hi:
-                j = v - lo
-                best = finish[comm_src[j]] + comm_w[j]
-                if best < 0.0:
-                    best = 0.0
-                u = chain_pred[v]
-                if u >= 0:
-                    candidate = finish[u]
-                    if candidate > best:
-                        best = candidate
-            else:
-                best = 0.0
-                for c in pred_comms[v]:
-                    candidate = finish[c]
-                    if candidate > best:
-                        best = candidate
-                u = proc_prev[v]
-                if u >= 0:
-                    candidate = finish[u]
-                    if candidate > best:
-                        best = candidate
-                for u, w in pred_seq[v]:
-                    candidate = finish[u] + w
-                    if candidate > best:
-                        best = candidate
-            if best != starts[v]:
-                starts[v] = best
-                finish[v] = best + dur[v]
-                for nxt in succ_static[v]:
-                    if not dirty[nxt]:
-                        dirty[nxt] = True
-                        push(heap, pos0[nxt])
-                for nxt in succ_seq[v]:
-                    if not dirty[nxt]:
-                        dirty[nxt] = True
-                        push(heap, pos0[nxt])
-                nxt = proc_next[v]
-                if nxt >= 0 and not dirty[nxt]:
-                    dirty[nxt] = True
-                    push(heap, pos0[nxt])
-                nxt = chain_next[v]
-                if nxt >= 0 and not dirty[nxt]:
-                    dirty[nxt] = True
-                    push(heap, pos0[nxt])
-        return True
-
-    def _dp_serialized(self, order: List[int]) -> None:
-        """Full serialized DP along ``order`` into the overlay buffers
-        (the rare path after an overlay-budget overrun)."""
+    def _dp_serialized(self, order: List[int], start: int) -> None:
+        """The serialized DP loop over ``order[start:]`` into the
+        persistent serialized buffers: the base DP's candidates plus, for
+        a comm node, its bus-chain predecessor's finish.  The persistent
+        order honours the chain links, so the suffix argument of
+        :meth:`_dp_range` carries over — ``start`` is the earliest
+        position among the base seeds and the comm nodes whose chain
+        predecessor changed."""
         lo = self._ntasks
         hi = lo + self._ndeps
         comm_src = self._dep_src
@@ -1741,7 +1672,7 @@ class IncrementalEngine(EvaluationEngine):
         dur = self._dur
         starts = self._starts1
         finish = self._finish1
-        for v in order:
+        for v in order[start:]:
             if lo <= v < hi:
                 j = v - lo
                 best = finish[comm_src[j]] + comm_w[j]
@@ -1778,14 +1709,17 @@ class IncrementalEngine(EvaluationEngine):
             self._interner.keys(), self._succ_seq, self._proc_next,
         )
 
-    def _kahn_chained(
-        self, n: int, indeg: List[int], chain_next: List[int]
-    ) -> List[int]:
-        """Kahn over all edge layers plus the bus chain overlay."""
+    def _kahn_chained(self, n: int, perm: List[int]) -> List[int]:
+        """Kahn over all edge layers plus the bus chain ``perm``;
+        raises :class:`CycleError`."""
+        indeg = list(self._indeg_total)
+        for c in perm[1:]:
+            indeg[c] += 1
         order = [v for v in range(n) if indeg[v] == 0]
         succ_static = self._succ_static
         succ_seq = self._succ_seq
         proc_next = self._proc_next
+        chain_next = self._chain_next
         head = 0
         while head < len(order):
             node = order[head]

@@ -14,6 +14,7 @@ survive.  The batched path is covered separately by
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -25,7 +26,7 @@ from repro.arch.bus import Bus
 from repro.arch.processor import Processor
 from repro.arch.reconfigurable import ReconfigurableCircuit
 from repro.bench.corpus import get_scenario
-from repro.errors import ConfigurationError, InfeasibleMoveError
+from repro.errors import ConfigurationError, InfeasibleMoveError, MappingError
 from repro.mapping.engine import (
     ENGINES,
     ArrayEngine,
@@ -34,7 +35,7 @@ from repro.mapping.engine import (
     make_engine,
 )
 from repro.mapping.evaluator import Evaluator
-from repro.mapping.solution import random_initial_solution
+from repro.mapping.solution import Solution, random_initial_solution
 from repro.model.generator import GeneratorConfig, random_application
 from repro.model.motion import motion_detection_application
 from repro.sa.moves import MoveGenerator
@@ -66,9 +67,11 @@ def _replay(
     p_zero=0.0,
     bus_policy="ordered",
     engines=("full", "incremental"),
+    check=None,
 ):
     """Replay one random move sequence through an engine pair; returns
-    the number of evaluated states."""
+    the number of evaluated states.  ``check(engine)`` runs on the second
+    engine after every compared evaluation."""
     arch = arch_factory()
     catalog = None
     if p_zero > 0.0:
@@ -83,7 +86,12 @@ def _replay(
     solution = random_initial_solution(app, arch, rng)
     gen = MoveGenerator(app, p_zero=p_zero, catalog=catalog)
 
-    _assert_same(left.evaluate(solution), right.evaluate(solution), "initial")
+    def compare(context):
+        _assert_same(left.evaluate(solution), right.evaluate(solution), context)
+        if check is not None:
+            check(right.engine)
+
+    compare("initial")
     evaluated = 1
     attempts = 0
     while evaluated < steps and attempts < steps * 20:
@@ -94,18 +102,14 @@ def _replay(
         except InfeasibleMoveError:
             continue
         context = f"seed={seed} step={evaluated} move={move.name} {engines}"
-        _assert_same(left.evaluate(solution), right.evaluate(solution), context)
+        compare(context)
         evaluated += 1
         # Metropolis-style coin: reject half the moves and make sure the
         # engines agree again after the rollback.
         if rng.random() < 0.5:
             move.undo(solution)
             if rng.random() < 0.3:
-                _assert_same(
-                    left.evaluate(solution),
-                    right.evaluate(solution),
-                    context + " (after undo)",
-                )
+                compare(context + " (after undo)")
                 evaluated += 1
     return evaluated
 
@@ -170,6 +174,113 @@ def test_engine_parity_edge_bus_policy_long_walk(engines):
         engines=engines,
     )
     assert total >= 240
+
+
+def _assert_order_honours_chain(engine):
+    """The persistent order is a topological order of the base layers
+    and the live bus chain (checked while the serialized values are
+    current, i.e. after a feasible evaluation with bus transfers)."""
+    if not engine._serial_valid or engine._cycle0 is not None:
+        return
+    pos = engine._order0[1]
+    for x in range(len(pos)):
+        succs = list(engine._succ_static[x]) + list(engine._succ_seq[x])
+        succs += [y for y in (engine._proc_next[x], engine._chain_next[x])
+                  if y >= 0]
+        for y in succs:
+            assert pos[x] < pos[y], (x, y)
+
+
+def test_chain_repair_failure_falls_back_to_chained_kahn(monkeypatch):
+    """Refuse every other chain-link repair: the engine must sort the
+    chained graph with Kahn, adopt that order as the persistent one, and
+    keep matching the reference on the evaluations that reuse it."""
+    original = IncrementalEngine._pk_insert
+    calls = itertools.count()
+
+    def flaky(self, order, pos, a, b, chained=False):
+        if chained and next(calls) % 2 == 0:
+            return False
+        return original(self, order, pos, a, b, chained)
+
+    monkeypatch.setattr(IncrementalEngine, "_pk_insert", flaky)
+    seen = {"sorts": (0, 0), "adopted": None, "reused": 0, "engine": None}
+
+    def check(engine):
+        seen["engine"] = engine
+        _assert_order_honours_chain(engine)
+        sorts = (engine.stat_chain_rebuilds, engine.stat_order_rebuilds)
+        if seen["adopted"] is not None and sorts == seen["sorts"]:
+            # No sort since the fallback: this evaluation ran on the
+            # adopted order (repaired in place at most).
+            assert engine._order0 is seen["adopted"]
+            seen["reused"] += 1
+        adopted = sorts[0] > seen["sorts"][0]
+        seen["adopted"] = engine._order0 if adopted else None
+        seen["sorts"] = sorts
+
+    instance = get_scenario("tgff/120").build()
+    total = _replay(
+        instance.application, lambda: instance.architecture, seed=7,
+        steps=200, check=check,
+    )
+    assert total >= 200
+    counters = seen["engine"].telemetry_counters()
+    assert counters["chain_rebuilds"] > 0
+    assert counters["chain_repairs"] > 0
+    assert seen["reused"] > 0
+
+
+def test_serialized_values_survive_reset_transitions(small_app, small_arch):
+    """The persistent serialized values are recomputed in full after an
+    evaluation without bus transfers and after a failed evaluation that
+    dropped the mirror; both engines agree across each transition."""
+    full = Evaluator(small_app, small_arch, engine="full")
+    inc = Evaluator(small_app, small_arch, engine="incremental")
+    engine = inc.engine
+    flat = Solution(small_app, small_arch)
+    for t in range(6):
+        flat.assign_to_processor(t, "cpu")
+    mixed = flat.copy()
+    mixed.unassign(1)
+    mixed.spawn_context(1, "fpga")
+    broken = mixed.copy()
+    broken.unassign(4)
+
+    _assert_same(full.evaluate(mixed), inc.evaluate(mixed), "transfers")
+    assert engine._serial_valid and engine._chain_perm
+    # Every task on the cpu: no dependency crosses the bus.
+    _assert_same(full.evaluate(flat), inc.evaluate(flat), "no transfers")
+    assert not engine._serial_valid
+    _assert_same(full.evaluate(mixed), inc.evaluate(mixed), "transfers again")
+    assert engine._serial_valid
+    # An unassigned task fails mid-sync and drops the mirror.
+    with pytest.raises(MappingError):
+        inc.evaluate(broken)
+    assert not engine._serial_valid
+    _assert_same(full.evaluate(mixed), inc.evaluate(mixed), "after failure")
+    assert engine._serial_valid
+
+
+def test_serialized_values_survive_node_growth():
+    """Catalog moves intern the configuration node of each new device
+    mid-walk; the grown node arrays force a full recompute of both
+    persistent DPs, and the engines keep agreeing."""
+    app = random_application(
+        GeneratorConfig(num_tasks=30, topology="tgff"), seed=11
+    )
+    sizes = []
+
+    def check(engine):
+        _assert_order_honours_chain(engine)
+        sizes.append(len(engine._interner))
+
+    total = _replay(
+        app, lambda: epicure_architecture(600), seed=1111, steps=160,
+        p_zero=0.15, check=check,
+    )
+    assert total >= 160
+    assert sizes[-1] > sizes[0]
 
 
 def test_array_engine_batch_matches_scalar():

@@ -20,6 +20,7 @@ from repro.io import (
     load_architecture,
     load_instance,
     load_solution,
+    instance_from_dict,
 )
 from repro.mapping.evaluator import Evaluator
 from repro.mapping.solution import random_initial_solution
@@ -77,6 +78,12 @@ class TestArchitectureRoundTrip:
         with pytest.raises(ConfigurationError):
             load_architecture(json.dumps(data))
 
+    def test_non_string_resource_name_rejected(self, epicure):
+        data = json.loads(dump_architecture(epicure))
+        data["resources"][0]["name"] = ["cpu"]
+        with pytest.raises(ConfigurationError, match="name"):
+            load_architecture(json.dumps(data))
+
 
 class TestInstanceRoundTrip:
     def test_exact_roundtrip(self, motion_app, epicure):
@@ -125,6 +132,55 @@ class TestInstanceRoundTrip:
     def test_wrong_document_kind(self, motion_app):
         with pytest.raises(ConfigurationError):
             load_instance(dump_application(motion_app))
+
+
+def _motion_document():
+    from repro.bench.corpus import get_scenario
+
+    return instance_to_dict(get_scenario("motion/2000").build())
+
+
+def _set(path, value):
+    """A mutation that sets ``doc[path[0]]...[path[-1]] = value``."""
+
+    def mutate(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+
+    return mutate
+
+
+def _drop_task_name(doc):
+    del doc["application"]["tasks"][0]["name"]
+
+
+@pytest.mark.parametrize(
+    "mutate, field",
+    [
+        (_set(("application", "tasks"), None), "tasks"),
+        (_drop_task_name, "name"),
+        (_set(("application", "tasks", 0, "sw_time_ms"), "x"), "sw_time_ms"),
+        (_set(("application", "dependencies"), [1, 2]), "dependency"),
+        (_set(("application",), []), "application document"),
+        (
+            _set(("application", "tasks", 0, "implementations"), None),
+            "implementations",
+        ),
+    ],
+    ids=[
+        "tasks-null", "task-without-name", "sw-time-not-number",
+        "dependencies-not-objects", "application-not-object",
+        "implementations-null",
+    ],
+)
+def test_malformed_bundled_instance_raises_configuration_error(mutate, field):
+    """A malformed bundled document fails with a ConfigurationError that
+    names the offending field, not with a stray KeyError/TypeError."""
+    doc = _motion_document()
+    mutate(doc)
+    with pytest.raises(ConfigurationError, match=field):
+        instance_from_dict(doc)
 
 
 class TestSolutionRoundTrip:
